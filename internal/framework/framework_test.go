@@ -285,30 +285,6 @@ func TestStalledConsumerDoesNotBlockOthers(t *testing.T) {
 	}
 }
 
-// TestGetWait blocks until a task arrives and honours stop.
-func TestGetWait(t *testing.T) {
-	fw := newFW(t, 1, 1, 8, nil)
-	c := fw.Consumer(0)
-
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		fw.Producer(0).Put(&task{seq: 1})
-	}()
-	tk, ok := c.GetWait(nil)
-	if !ok || tk.seq != 1 {
-		t.Fatalf("GetWait = %v,%v", tk, ok)
-	}
-
-	stop := make(chan struct{})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(stop)
-	}()
-	if _, ok := c.GetWait(stop); ok {
-		t.Fatal("GetWait returned a task from an empty pool")
-	}
-}
-
 // TestNonLinearizableEmpty returns ⊥ quickly without the protocol.
 func TestNonLinearizableEmpty(t *testing.T) {
 	fw := newFW(t, 1, 2, 8, func(c *framework.Config[task]) { c.NonLinearizableEmpty = true })

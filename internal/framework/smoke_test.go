@@ -62,16 +62,6 @@ func TestSingleProducerSingleConsumerFIFOish(t *testing.T) {
 	}
 }
 
-func TestEmptyPoolGetReturnsFalse(t *testing.T) {
-	fw := newSALSA(t, 2, 2, 16)
-	if _, ok := fw.Consumer(0).Get(); ok {
-		t.Fatal("Get on a never-used pool should report empty")
-	}
-	if _, ok := fw.Consumer(1).Get(); ok {
-		t.Fatal("Get on a never-used pool should report empty")
-	}
-}
-
 func TestStealingDrainsForeignPool(t *testing.T) {
 	// Producer 0's access list starts at some consumer; the OTHER
 	// consumer must still be able to drain everything via stealing.
