@@ -498,6 +498,10 @@ func (p *Producer[T]) TryPutBatch(ts []*T) int {
 	if len(ts) == 0 {
 		return 0
 	}
+	// Counted like PutBatch: every production batch producer (Admission,
+	// the executor, the shard server) comes through here.
+	p.state.Ops.PutBatches.V.Store(p.state.Ops.PutBatches.V.Load() + 1)
+	p.state.Ops.PutBatchSize.Observe(int64(len(ts)))
 	tr := p.state.Tracer
 	access := p.fw.epoch.Load().prodAccess[p.state.ID]
 	if p.fw.cfg.DisableBalancing {

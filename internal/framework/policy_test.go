@@ -85,6 +85,8 @@ func TestPutPolicyGolden(t *testing.T) {
 		puts          int64
 		forcePuts     int64
 		saturatedPuts int64
+		putBatches    int64 // batch calls, refused ones included
+		batchTasks    int64 // tasks offered across them (PutBatchSize sum)
 	}{
 		{
 			// Put 1 and 3 need a chunk: the whole list refuses, the
@@ -143,7 +145,7 @@ func TestPutPolicyGolden(t *testing.T) {
 				"fail:near", "fail:far", "force:near", "PutBatch(5)",
 				"fail:near", "fail:far", "force:near", "PutBatch(3)",
 			},
-			puts: 8, forcePuts: 7,
+			puts: 8, forcePuts: 7, putBatches: 2, batchTasks: 8,
 		},
 		{
 			name:        "PutBatch/DisableBalancing",
@@ -153,7 +155,7 @@ func TestPutPolicyGolden(t *testing.T) {
 				"fail:near", "force:near", "PutBatch(5)",
 				"fail:near", "force:near", "PutBatch(3)",
 			},
-			puts: 8, forcePuts: 7,
+			puts: 8, forcePuts: 7, putBatches: 2, batchTasks: 8,
 		},
 		{
 			// The accepted prefix is whatever fits the open chunk; the
@@ -166,7 +168,7 @@ func TestPutPolicyGolden(t *testing.T) {
 				"fail:near", "fail:far", "TryPutBatch(3)=1",
 				"fail:near", "fail:far", "TryPutBatch(2)=0",
 			},
-			puts: 2, forcePuts: 1, saturatedPuts: 2,
+			puts: 2, forcePuts: 1, saturatedPuts: 2, putBatches: 2, batchTasks: 5,
 		},
 		{
 			name:        "TryPutBatch/DisableBalancing",
@@ -177,7 +179,7 @@ func TestPutPolicyGolden(t *testing.T) {
 				"fail:near", "TryPutBatch(3)=1",
 				"fail:near", "TryPutBatch(2)=0",
 			},
-			puts: 2, forcePuts: 1, saturatedPuts: 2,
+			puts: 2, forcePuts: 1, saturatedPuts: 2, putBatches: 2, batchTasks: 5,
 		},
 	}
 	for _, tc := range cases {
@@ -199,6 +201,11 @@ func TestPutPolicyGolden(t *testing.T) {
 			if ops.Puts != tc.puts || ops.ForcePuts != tc.forcePuts || ops.SaturatedPuts != tc.saturatedPuts {
 				t.Errorf("Puts/ForcePuts/SaturatedPuts = %d/%d/%d, want %d/%d/%d",
 					ops.Puts, ops.ForcePuts, ops.SaturatedPuts, tc.puts, tc.forcePuts, tc.saturatedPuts)
+			}
+			if ops.PutBatches != tc.putBatches || ops.PutBatchSize.Count != tc.putBatches ||
+				ops.PutBatchSize.SumNs != tc.batchTasks {
+				t.Errorf("PutBatches = %d, PutBatchSize count/sum = %d/%d, want %d calls of %d tasks",
+					ops.PutBatches, ops.PutBatchSize.Count, ops.PutBatchSize.SumNs, tc.putBatches, tc.batchTasks)
 			}
 		})
 	}

@@ -134,8 +134,9 @@ type Ops struct {
 	// ForcePuts' silent expansion.
 	SaturatedPuts Counter
 
-	// PutBatches and GetBatches count completed batch API calls
-	// (PutBatch/GetBatch invocations that moved at least one task).
+	// PutBatches and GetBatches count batch API calls with a non-empty
+	// argument — PutBatch and TryPutBatch, GetBatch and TryGetBatch —
+	// whether or not the call moved a task.
 	// BatchFastPath counts tasks retrieved inside a batched CAS-free
 	// owner run — the amortized subset of FastPath.
 	PutBatches    Counter
@@ -284,8 +285,8 @@ func (s Snapshot) CASPerGet() float64 {
 	return float64(s.CAS) / float64(s.Gets)
 }
 
-// AvgPutBatch returns the mean tasks-per-call of PutBatch (0 when the batch
-// API was not used).
+// AvgPutBatch returns the mean tasks offered per PutBatch/TryPutBatch call
+// (0 when the batch API was not used).
 func (s Snapshot) AvgPutBatch() float64 {
 	if s.PutBatchSize.Count == 0 {
 		return 0

@@ -179,7 +179,7 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	writeCounter(w, "salsa_produce_full_total", "produce() failures due to an exhausted chunk pool.", o.ProduceFull)
 	writeCounter(w, "salsa_force_puts_total", "produceForce calls (the policy's last resort; counts calls, not allocations).", o.ForcePuts)
 	writeCounter(w, "salsa_force_expands_total", "Chunk allocations that only force made possible (pool had no spare).", o.ForceExpands)
-	writeCounter(w, "salsa_put_batches_total", "PutBatch calls.", o.PutBatches)
+	writeCounter(w, "salsa_put_batches_total", "PutBatch and TryPutBatch calls.", o.PutBatches)
 	writeCounter(w, "salsa_get_batches_total", "GetBatch/TryGetBatch calls.", o.GetBatches)
 	writeCounter(w, "salsa_batch_fastpath_total", "Tasks retrieved on the amortized batch fast path (subset of salsa_fastpath_total).", o.BatchFastPath)
 	writeCounter(w, "salsa_remote_transfers_total", "Task transfers crossing NUMA nodes.", o.RemoteTransfers)
@@ -376,7 +376,7 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	writeHistogram(w, "salsa_put_latency_seconds", "Put latency.", o.PutLatency)
 	writeHistogram(w, "salsa_get_latency_seconds", "Get latency.", o.GetLatency)
 	writeHistogram(w, "salsa_steal_latency_seconds", "Successful steal latency.", o.StealLatency)
-	writeSizeHistogram(w, "salsa_put_batch_size_tasks", "Tasks per PutBatch call.", o.PutBatchSize)
+	writeSizeHistogram(w, "salsa_put_batch_size_tasks", "Tasks offered per PutBatch/TryPutBatch call.", o.PutBatchSize)
 	writeSizeHistogram(w, "salsa_get_batch_size_tasks", "Tasks returned per non-empty GetBatch/TryGetBatch call.", o.GetBatchSize)
 	writeSizeHistogram(w, "salsa_lane_flush_size_tasks", "Tasks published per produce-lane flush.", o.LaneFlushSize)
 }
