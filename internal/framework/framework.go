@@ -269,6 +269,25 @@ func (fw *Framework[T]) Stats() stats.Snapshot {
 	return total
 }
 
+// sampleStart opens a latency sample: the current time when Config.Latency
+// is on, the zero Time — which sampleEnd ignores — when it is off. This is
+// the only place the put/get/steal paths read the clock, so a pool without
+// latency sampling pays one predictable branch per operation and no
+// time.Now().
+func (fw *Framework[T]) sampleStart() (start time.Time) {
+	if fw.cfg.Latency {
+		start = time.Now()
+	}
+	return start
+}
+
+// sampleEnd records the time since start into h when the sample is open.
+func sampleEnd(h *stats.Histogram, start time.Time) {
+	if !start.IsZero() {
+		h.ObserveSince(start)
+	}
+}
+
 // Producer inserts tasks according to the producer policy. The access list
 // is read from the current membership epoch on every call (one atomic
 // load), so producers fail over to the surviving pools the moment a
@@ -306,13 +325,9 @@ func (p *Producer[T]) Put(t *T) {
 		p.lane.Push(t) // cannot fail: the lane was just drained
 		return
 	}
-	if !p.fw.cfg.Latency { // fast path: one predictable branch
-		p.put(t)
-		return
-	}
-	start := time.Now()
+	start := p.fw.sampleStart()
 	p.put(t)
-	p.state.Ops.PutLatency.ObserveSince(start)
+	sampleEnd(&p.state.Ops.PutLatency, start)
 }
 
 // Flush publishes every task buffered in this handle's lane into the pool
@@ -409,13 +424,9 @@ func (p *Producer[T]) PutBatch(ts []*T) {
 	// Call-free single-writer increment (stats.Counter.V docs).
 	p.state.Ops.PutBatches.V.Store(p.state.Ops.PutBatches.V.Load() + 1)
 	p.state.Ops.PutBatchSize.Observe(int64(len(ts)))
-	if !p.fw.cfg.Latency {
-		p.putBatch(ts)
-		return
-	}
-	start := time.Now()
+	start := p.fw.sampleStart()
 	p.putBatch(ts)
-	p.state.Ops.PutLatency.ObserveSince(start)
+	sampleEnd(&p.state.Ops.PutLatency, start)
 }
 
 func (p *Producer[T]) putBatch(ts []*T) {
@@ -462,8 +473,18 @@ func (p *Producer[T]) putBatch(ts []*T) {
 // exhausted everywhere the producer may reach) the task is rejected instead
 // of force-expanding the closest pool. This is the typed backpressure path —
 // the caller keeps ownership of t and decides whether to retry, shed, or
-// block. Rejections are counted in SaturatedPuts.
+// block. Rejections are counted in SaturatedPuts. Latency sampling records
+// accepted calls only, so polling a saturated pool does not drown PutLatency.
 func (p *Producer[T]) TryPut(t *T) bool {
+	start := p.fw.sampleStart()
+	ok := p.tryPut(t)
+	if ok {
+		sampleEnd(&p.state.Ops.PutLatency, start)
+	}
+	return ok
+}
+
+func (p *Producer[T]) tryPut(t *T) bool {
 	tr := p.state.Tracer
 	access := p.fw.epoch.Load().prodAccess[p.state.ID]
 	if p.fw.cfg.DisableBalancing {
@@ -502,6 +523,15 @@ func (p *Producer[T]) TryPutBatch(ts []*T) int {
 	// the executor, the shard server) comes through here.
 	p.state.Ops.PutBatches.V.Store(p.state.Ops.PutBatches.V.Load() + 1)
 	p.state.Ops.PutBatchSize.Observe(int64(len(ts)))
+	start := p.fw.sampleStart()
+	n := p.tryPutBatch(ts)
+	if n > 0 { // sampled like TryPut: only calls that inserted something
+		sampleEnd(&p.state.Ops.PutLatency, start)
+	}
+	return n
+}
+
+func (p *Producer[T]) tryPutBatch(ts []*T) int {
 	tr := p.state.Tracer
 	access := p.fw.epoch.Load().prodAccess[p.state.ID]
 	if p.fw.cfg.DisableBalancing {
@@ -599,16 +629,13 @@ func (c *Consumer[T]) checkLive() {
 // was configured with NonLinearizableEmpty.
 func (c *Consumer[T]) Get() (*T, bool) {
 	c.checkLive()
-	if !c.fw.cfg.Latency { // fast path: one predictable branch
-		return c.get()
-	}
-	start := time.Now()
+	start := c.fw.sampleStart()
 	t, ok := c.get()
 	if ok {
 		// Only successful retrievals are sampled, so spin-polling an
 		// empty pool (where Get runs the full emptiness protocol every
 		// call) does not drown the histogram in empty-pass latencies.
-		c.state.Ops.GetLatency.ObserveSince(start)
+		sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return t, ok
 }
@@ -654,13 +681,10 @@ func (c *Consumer[T]) get() (*T, bool) {
 // so spin-polling an empty pool does not drown the Get histogram.
 func (c *Consumer[T]) TryGet() (*T, bool) {
 	c.checkLive()
-	if !c.fw.cfg.Latency {
-		return c.tryOnce()
-	}
-	start := time.Now()
+	start := c.fw.sampleStart()
 	t, ok := c.tryOnce()
 	if ok {
-		c.state.Ops.GetLatency.ObserveSince(start)
+		sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return t, ok
 }
@@ -767,15 +791,9 @@ func (c *Consumer[T]) stealPass() *T {
 	}
 	for k := 0; k < n; k++ {
 		v := c.victims[(start+k)%n]
-		if !c.fw.cfg.Latency {
-			if t := c.myPool.Steal(&c.state, v); t != nil {
-				return t
-			}
-			continue
-		}
-		stealStart := time.Now()
+		stealStart := c.fw.sampleStart()
 		if t := c.myPool.Steal(&c.state, v); t != nil {
-			c.state.Ops.StealLatency.ObserveSince(stealStart)
+			sampleEnd(&c.state.Ops.StealLatency, stealStart)
 			return t
 		}
 	}
@@ -797,13 +815,10 @@ func (c *Consumer[T]) GetBatch(dst []*T) int {
 	}
 	// Call-free single-writer increment (stats.Counter.V docs).
 	c.state.Ops.GetBatches.V.Store(c.state.Ops.GetBatches.V.Load() + 1)
-	if !c.fw.cfg.Latency {
-		return c.getBatch(dst)
-	}
-	start := time.Now()
+	start := c.fw.sampleStart()
 	n := c.getBatch(dst)
 	if n > 0 {
-		c.state.Ops.GetLatency.ObserveSince(start)
+		sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return n
 }
@@ -840,13 +855,10 @@ func (c *Consumer[T]) TryGetBatch(dst []*T) int {
 		return 0
 	}
 	c.state.Ops.GetBatches.V.Store(c.state.Ops.GetBatches.V.Load() + 1)
-	if !c.fw.cfg.Latency {
-		return c.tryBatchOnce(dst)
-	}
-	start := time.Now()
+	start := c.fw.sampleStart()
 	n := c.tryBatchOnce(dst)
 	if n > 0 {
-		c.state.Ops.GetLatency.ObserveSince(start)
+		sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return n
 }

@@ -444,3 +444,63 @@ func runGetCase(t *testing.T, tc getCase) {
 		t.Errorf("Gets = %d, want %d", ops.Gets, wantGets)
 	}
 }
+
+// TestLatencySampling: with Config.Latency on, every put entry samples
+// PutLatency once per accepted call and every non-waiting get entry samples
+// GetLatency once per successful retrieval — refused puts and empty-handed
+// gets record nothing, so polling a saturated or empty pool cannot drown
+// the histograms. With Latency off no entry touches a histogram.
+func TestLatencySampling(t *testing.T) {
+	dst := make([]*task, 4)
+	cases := []struct {
+		name     string
+		run      func(p *framework.Producer[task], c *framework.Consumer[task])
+		put, get int64
+	}{
+		{"Put", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.Put(&task{}) }, 1, 0},
+		{"PutBatch", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.PutBatch(makeTasks(3)) }, 1, 0},
+		{"TryPut", func(p *framework.Producer[task], _ *framework.Consumer[task]) {
+			p.Put(&task{}) // opens a chunk the TryPut fits in
+			if !p.TryPut(&task{}) {
+				t.Error("TryPut into an open chunk refused")
+			}
+		}, 2, 0},
+		{"TryPut/refused", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.TryPut(&task{}) }, 0, 0},
+		{"TryPutBatch", func(p *framework.Producer[task], _ *framework.Consumer[task]) {
+			p.Put(&task{})
+			if n := p.TryPutBatch(makeTasks(3)); n != 3 {
+				t.Errorf("TryPutBatch into an open chunk accepted %d of 3", n)
+			}
+		}, 2, 0},
+		{"TryPutBatch/refused", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.TryPutBatch(makeTasks(3)) }, 0, 0},
+		{"Get", func(p *framework.Producer[task], c *framework.Consumer[task]) { p.Put(&task{}); c.Get(); c.Get() }, 1, 1},
+		{"TryGet", func(p *framework.Producer[task], c *framework.Consumer[task]) { p.Put(&task{}); c.TryGet(); c.TryGet() }, 1, 1},
+		{"GetBatch", func(p *framework.Producer[task], c *framework.Consumer[task]) {
+			p.Put(&task{})
+			c.GetBatch(dst)
+			c.GetBatch(dst)
+		}, 1, 1},
+		{"TryGetBatch", func(p *framework.Producer[task], c *framework.Consumer[task]) {
+			p.Put(&task{})
+			c.TryGetBatch(dst)
+			c.TryGetBatch(dst)
+		}, 1, 1},
+	}
+	for _, tc := range cases {
+		for _, latency := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/latency=%v", tc.name, latency), func(t *testing.T) {
+				fw := newFW(t, 1, 1, 8, func(c *framework.Config[task]) { c.Latency = latency })
+				tc.run(fw.Producer(0), fw.Consumer(0))
+				s := fw.Stats()
+				wantPut, wantGet := tc.put, tc.get
+				if !latency {
+					wantPut, wantGet = 0, 0
+				}
+				if s.PutLatency.Count != wantPut || s.GetLatency.Count != wantGet {
+					t.Errorf("PutLatency/GetLatency samples = %d/%d, want %d/%d",
+						s.PutLatency.Count, s.GetLatency.Count, wantPut, wantGet)
+				}
+			})
+		}
+	}
+}
