@@ -101,7 +101,7 @@ bench:
 # within FLIGHT_TOL of the freshly recorded baseline.
 #
 # The allocation gate runs last: BenchmarkAlloc (steady-state Put/Get
-# bursts, lanes off and on) with -benchmem against the *committed*
+# bursts) with -benchmem against the *committed*
 # BENCH_alloc.json — allocs/op must not grow at all (-alloctol 0) — and
 # only then is the reference refreshed. A hot path that starts allocating
 # fails here before the regression ships.

@@ -1,7 +1,7 @@
 // Benchmarks pinning the allocation budget of the steady-state hot paths.
 // BenchmarkAlloc is the bench-smoke allocation gate: its records are
 // committed to BENCH_alloc.json (with allocs/op and B/op from -benchmem)
-// and compared with -alloctol 0, so a Put/Get/Flush path that starts
+// and compared with -alloctol 0, so a Put/Get path that starts
 // allocating per task fails the gate the day it lands. The steady state
 // recirculates task pointers and chunk memory; the only allocations left
 // are chunk-header rebuilds, amortized across a whole chunk residence,
@@ -9,115 +9,48 @@
 package salsa_test
 
 import (
-	"fmt"
 	"testing"
 
 	"salsa"
 	"salsa/internal/workload"
 )
 
-// benchTransferBurst drives bursts of `run` tasks through a 1p/1c pool —
-// put the burst (through the lane when laneSize > 0), flush, drain — and
-// recirculates the task pointers. ns/op is one task transfer.
-func benchTransferBurst(b *testing.B, laneSize int) {
-	b.Helper()
-	pool, err := salsa.New[workload.Task](salsa.Config{
-		Producers: 1, Consumers: 1, LaneSize: laneSize,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, c := pool.Producer(0), pool.Consumer(0)
-	const run = 64
-	tasks := make([]*workload.Task, run)
-	for i := range tasks {
-		tasks[i] = &workload.Task{}
-	}
-	// Warm-up: enough full residences that the chunk pool is primed and
-	// the steady state recycles chunks instead of growing the pool.
-	for r := 0; r < 64; r++ {
-		for _, t := range tasks {
-			p.Put(t)
-		}
-		p.Flush()
-		for j := 0; j < run; j++ {
-			got, ok := c.Get()
-			if !ok {
-				b.Fatal("pool empty during warm-up")
-			}
-			tasks[j] = got
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := run
-		if b.N-done < n {
-			n = b.N - done
-		}
-		for j := 0; j < n; j++ {
-			p.Put(tasks[j])
-		}
-		p.Flush()
-		for j := 0; j < n; j++ {
-			got, ok := c.Get()
-			if !ok {
-				b.Fatal("pool empty mid-burst")
-			}
-			tasks[j] = got
-		}
-		done += n
-	}
-}
-
-// BenchmarkAlloc is the allocation gate pair: the identical burst workload
-// with lanes off and on. Both must hold 0 allocs/op in steady state —
-// lanes may shift work between Put and Flush but may not buy speed with
-// garbage.
+// BenchmarkAlloc is the allocation gate: bursts of 64 tasks through a 1p/1c
+// pool — put the burst, drain it — recirculating the task pointers. ns/op
+// is one task transfer; the steady state must hold 0 allocs/op.
 func BenchmarkAlloc(b *testing.B) {
-	b.Run("PutGet/lane0", func(b *testing.B) { benchTransferBurst(b, 0) })
-	b.Run("PutGet/lane64", func(b *testing.B) { benchTransferBurst(b, 64) })
-}
-
-// BenchmarkLaneSweep sweeps Config.LaneSize over the burst workload; the
-// EXPERIMENTS.md lane walkthrough reads its output. lane0 is the
-// direct-publish baseline; larger lanes amortize the access-list walk and
-// chunk bookkeeping across each flushed run.
-func BenchmarkLaneSweep(b *testing.B) {
-	for _, lane := range []int{0, 16, 64, 256} {
-		b.Run(fmt.Sprintf("lane%d", lane), func(b *testing.B) {
-			benchTransferBurst(b, lane)
-		})
-	}
-}
-
-// BenchmarkLaneContended is the lane sweep in the regime lanes are for:
-// the standard contended N-producer/N-consumer workload, where per-put
-// publication cost (access-list walk, chunk bookkeeping, release store)
-// competes with consumers hammering the same chunks. Producers Put
-// through their lanes and Flush the tail; consumers drain with Get.
-func BenchmarkLaneContended(b *testing.B) {
-	for _, lane := range []int{0, 16, 64, 256} {
-		b.Run(fmt.Sprintf("lane%d", lane), func(b *testing.B) {
-			cfg := workload.Config{
-				Algorithm: salsa.SALSA,
-				Producers: benchPairs,
-				Consumers: benchPairs,
-				LaneSize:  lane,
+	b.Run("PutGet", func(b *testing.B) {
+		pool, err := salsa.New[workload.Task](salsa.Config{Producers: 1, Consumers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, c := pool.Producer(0), pool.Consumer(0)
+		const run = 64
+		tasks := make([]*workload.Task, run)
+		for i := range tasks {
+			tasks[i] = &workload.Task{}
+		}
+		burst := func(n int) {
+			for j := 0; j < n; j++ {
+				p.Put(tasks[j])
 			}
-			per := b.N / cfg.Producers
-			if per < 1 {
-				per = 1
+			for j := 0; j < n; j++ {
+				got, ok := c.Get()
+				if !ok {
+					b.Fatal("pool empty mid-burst")
+				}
+				tasks[j] = got
 			}
-			res, err := workload.RunFixed(cfg, per)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Consumed != int64(per)*int64(cfg.Producers) {
-				b.Fatalf("lost tasks: consumed %d of %d", res.Consumed, per*cfg.Producers)
-			}
-			b.ReportMetric(res.CASPerGet(), "cas/task")
-			b.ReportMetric(res.Stats.FastPathRatio(), "fastpath")
-		})
-	}
+		}
+		// Warm-up: enough full residences that the chunk pool is primed
+		// and the steady state recycles chunks instead of growing the pool.
+		for r := 0; r < 64; r++ {
+			burst(run)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; done += run {
+			burst(min(run, b.N-done))
+		}
+	})
 }

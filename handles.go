@@ -32,22 +32,7 @@ type Producer[T any] struct {
 // Put inserts t. Tasks must be non-nil and, as in the paper's model
 // (§1.3.3), each live *T should be inserted at most once at a time;
 // re-inserting a pointer after it was consumed is fine.
-//
-// With Config.LaneSize > 0 the task is buffered in this handle's SPSC
-// lane instead and becomes visible to consumers only when the lane fills
-// or Flush is called; see Config.LaneSize for the contract.
 func (p *Producer[T]) Put(t *T) { p.h.Put(t) }
-
-// Flush publishes every task buffered in this handle's lane
-// (Config.LaneSize) into the pool. A no-op when lanes are off or the lane
-// is empty. Producers using lanes must Flush before relying on their
-// tasks being retrievable — e.g. before blocking on downstream results,
-// and before the producing goroutine goes quiet.
-func (p *Producer[T]) Flush() { p.h.Flush() }
-
-// LaneLen reports how many tasks sit unflushed in this handle's lane
-// (always 0 when lanes are off).
-func (p *Producer[T]) LaneLen() int { return p.h.LaneLen() }
 
 // PutBatch inserts every task of ts (all non-nil), amortizing per-task
 // synchronization across the batch: the access-list walk happens once per

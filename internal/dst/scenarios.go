@@ -342,18 +342,14 @@ type frameworkWorld struct {
 }
 
 func newFrameworkWorld(producers, consumers, maxConsumers, chunkSize, total int) *frameworkWorld {
-	return newFrameworkWorldCfg(salsa.Config{
+	p, err := salsa.New[int](salsa.Config{
 		Producers:    producers,
 		Consumers:    consumers,
 		MaxConsumers: maxConsumers,
 		ChunkSize:    chunkSize,
 		NUMANodes:    1,
 		CoresPerNode: 16,
-	}, total)
-}
-
-func newFrameworkWorldCfg(cfg salsa.Config, total int) *frameworkWorld {
-	p, err := salsa.New[int](cfg)
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -483,71 +479,6 @@ func plainGetBackoff() Scenario {
 	}
 }
 
-// laneFlushSteal: a producer with an SPSC lane (Config.LaneSize) flushes
-// buffered runs while one consumer drains its own pool and another steals
-// — the LaneFlushBeforePublish window (run visible neither in the lane nor
-// in any pool) becomes an explicit scheduling point, so the explorer can
-// land steals, drains and emptiness probes inside a half-done flush.
-// Conservation must hold on every interleaving: a run mid-flush is never
-// duplicated by the steal that races it, and the final explicit Flush
-// makes every task pool-visible for the serial drain check.
-func laneFlushSteal() Scenario {
-	return Scenario{
-		Name: "lane-flush-steal",
-		Doc:  "SPSC lane flush (auto + explicit) races consumers and a thief mid-publish",
-		Build: func(ctl *Controller) Checker {
-			const total = 10
-			w := newFrameworkWorldCfg(salsa.Config{
-				Producers:    1,
-				Consumers:    2,
-				ChunkSize:    4,
-				NUMANodes:    1,
-				CoresPerNode: 16,
-				LaneSize:     4,
-			}, total)
-			prod := w.pool.Producer(0)
-			// Turn the flush's invisible window into a yield point so the
-			// strategy can schedule the whole cast inside it.
-			failpoint.Set(failpoint.LaneFlushBeforePublish, func(_ failpoint.Site, _ int) bool {
-				ctl.Yield("lane.flush-window")
-				return false
-			})
-			drain := func(ci int) func() {
-				c := w.pool.Consumer(ci)
-				return func() {
-					for i := 0; i < 30; i++ {
-						ctl.Yield(fmt.Sprintf("c%d.loop", ci))
-						wasDone := w.done.Load()
-						if t, ok := c.Get(); ok {
-							w.rec.add(*t)
-						} else if wasDone {
-							return
-						}
-					}
-				}
-			}
-			ctl.Spawn("producer", func() {
-				for _, t := range w.tasks {
-					ctl.Yield("producer.loop")
-					prod.Put(t) // auto-flushes every LaneSize puts
-				}
-				ctl.Yield("producer.flush")
-				prod.Flush() // publish the tail; nothing may stay laned
-				w.done.Store(true)
-			})
-			ctl.Spawn("ownerA", drain(0))
-			ctl.Spawn("thiefB", drain(1))
-			inner := w.checkDraining(0)
-			return func(ctl *Controller) error {
-				if n := prod.LaneLen(); n != 0 {
-					return fmt.Errorf("%d tasks left in the lane after the final Flush", n)
-				}
-				return inner(ctl)
-			}
-		},
-	}
-}
-
 // Scenarios returns the full matrix in a fixed order.
 func Scenarios() []Scenario {
 	return []Scenario{
@@ -558,7 +489,6 @@ func Scenarios() []Scenario {
 		batchDrainSteal(),
 		checkEmptyChurn(),
 		plainGetBackoff(),
-		laneFlushSteal(),
 	}
 }
 

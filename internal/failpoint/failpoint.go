@@ -113,14 +113,6 @@ const (
 	// Inject-only. id = probing consumer id.
 	CheckEmptyBetweenScans
 
-	// LaneFlushBeforePublish fires inside a producer's SPSC lane flush,
-	// after the buffered run has been drained out of the lane but
-	// before it is published into chunks through the batch produce
-	// path — the window in which the run is visible neither in the lane
-	// nor in any pool, so an emptiness probe racing the flush is the
-	// classic attack. Inject-only. id = producer id.
-	LaneFlushBeforePublish
-
 	// NumSites is the number of defined sites.
 	NumSites
 )
@@ -137,7 +129,6 @@ var siteNames = [NumSites]string{
 	MembershipKillMidSteal:       "membership.kill-mid-steal",
 	MembershipBeforeEpochPublish: "membership.before-epoch-publish",
 	CheckEmptyBetweenScans:       "checkempty.between-scans",
-	LaneFlushBeforePublish:       "lane.flush-before-publish",
 }
 
 // String returns the site's catalogue name (e.g. "steal.after-owner-cas").

@@ -31,7 +31,6 @@ import (
 	"salsa/internal/backoff"
 	"salsa/internal/failpoint"
 	"salsa/internal/flight"
-	"salsa/internal/lane"
 	"salsa/internal/membership"
 	"salsa/internal/scpool"
 	"salsa/internal/stats"
@@ -106,19 +105,6 @@ type Config[T any] struct {
 	// several pools share one process each must claim a disjoint id range.
 	// Zero (the default) is correct for a single pool.
 	FlightBase int
-
-	// LaneSize, when positive, gives every producer handle an SPSC
-	// front lane of that many tasks (rounded up to a power of two):
-	// Put buffers into the lane and publishes whole runs through the
-	// batch produce path when the lane fills or Producer.Flush is
-	// called. Buffered tasks are INVISIBLE to consumers and to the
-	// checkEmpty protocol until flushed — Put's pool-visibility point
-	// moves from the call to the flush. Only Put uses the lane: the
-	// batch paths (PutBatch, TryPutBatch) are already amortized and
-	// publish immediately, and TryPut's saturation contract requires an
-	// immediate answer. Zero disables lanes (the default, and the
-	// paper's semantics).
-	LaneSize int
 }
 
 // StealOrder is a victim-iteration policy for steal attempts.
@@ -174,9 +160,6 @@ func New[T any](cfg Config[T]) (*Framework[T], error) {
 	if cfg.NewPool == nil {
 		return nil, fmt.Errorf("framework: NewPool factory is required")
 	}
-	if cfg.LaneSize < 0 {
-		return nil, fmt.Errorf("framework: LaneSize must be non-negative, got %d", cfg.LaneSize)
-	}
 	pl := cfg.Placement
 	if pl == nil {
 		pl = topology.Place(topology.UMA(cfg.Producers+cfg.Consumers),
@@ -207,10 +190,6 @@ func New[T any](cfg Config[T]) (*Framework[T], error) {
 		pr.state.FID = cfg.FlightBase + i
 		pr.state.Node = pl.ProducerNode(i)
 		pr.state.Tracer = cfg.Tracer
-		if cfg.LaneSize > 0 {
-			pr.lane = lane.New[T](cfg.LaneSize)
-			pr.laneBuf = make([]*T, pr.lane.Cap())
-		}
 		fw.producers[i] = pr
 	}
 
@@ -295,84 +274,14 @@ func sampleEnd(h *stats.Histogram, start time.Time) {
 type Producer[T any] struct {
 	fw    *Framework[T]
 	state scpool.ProducerState
-
-	// lane is the optional SPSC front buffer (Config.LaneSize); nil
-	// when lanes are off. laneBuf is the preallocated flush scratch —
-	// runs drain into it and go out through putBatch, so a steady-state
-	// flush allocates nothing.
-	lane    *lane.Ring[T]
-	laneBuf []*T
 }
 
 // Put inserts t (Algorithm 2's put()): produce() along the access list,
 // produceForce() on the closest pool as last resort. t must be non-nil.
-//
-// With Config.LaneSize > 0 the task is instead buffered in this handle's
-// SPSC lane and published — together with every other buffered task — when
-// the lane fills or Flush is called; see Config.LaneSize for the
-// visibility contract.
 func (p *Producer[T]) Put(t *T) {
-	if p.lane != nil {
-		// Lane path: a push is two inlined atomic ops on memory owned
-		// by this core. The flush amortizes the whole produce path
-		// (epoch load, access-list walk, chunk bookkeeping) over the
-		// run. Latency sampling applies to the flush, where the pool
-		// work actually happens.
-		if p.lane.Push(t) {
-			return
-		}
-		p.Flush()
-		p.lane.Push(t) // cannot fail: the lane was just drained
-		return
-	}
 	start := p.fw.sampleStart()
 	p.put(t)
 	sampleEnd(&p.state.Ops.PutLatency, start)
-}
-
-// Flush publishes every task buffered in this handle's lane into the pool
-// (no-op when lanes are off or the lane is empty). Producers using lanes
-// must Flush before relying on their tasks being retrievable — e.g. before
-// blocking on downstream results, and before the handle goes quiet.
-func (p *Producer[T]) Flush() {
-	if p.lane == nil {
-		return
-	}
-	n := p.lane.PopRun(p.laneBuf)
-	if n == 0 {
-		return
-	}
-	// The run now exists only in laneBuf: invisible to the lane and to
-	// every pool. This is the flush's synchronization window (Armed
-	// guard spelled at the site so a disarmed run pays one load, not a
-	// CALL — failpoint docs).
-	if failpoint.Compiled && failpoint.Armed.Load() != 0 {
-		failpoint.Inject(failpoint.LaneFlushBeforePublish, p.state.ID)
-	}
-	// Call-free single-writer increment (stats.Counter.V docs).
-	p.state.Ops.LaneFlushes.V.Store(p.state.Ops.LaneFlushes.V.Load() + 1)
-	p.state.Ops.LaneFlushSize.Observe(int64(n))
-	if !p.fw.cfg.Latency {
-		p.putBatch(p.laneBuf[:n])
-	} else {
-		start := time.Now()
-		p.putBatch(p.laneBuf[:n])
-		p.state.Ops.PutLatency.ObserveSince(start)
-	}
-	// Drop the scratch references: the pool owns the run now, and a
-	// retained pointer would keep a long-consumed task reachable.
-	for i := 0; i < n; i++ {
-		p.laneBuf[i] = nil
-	}
-}
-
-// LaneLen reports how many tasks are buffered in this handle's lane (0
-// when lanes are off) — diagnostic insight for tests and the doctor.
-func (p *Producer[T]) LaneLen() int {
-	if p.lane == nil {
-		return 0
-	}
-	return p.lane.Len()
 }
 
 func (p *Producer[T]) put(t *T) {

@@ -67,6 +67,14 @@ func (op putOp) run(p *framework.Producer[task]) string {
 	}
 }
 
+func makeTasks(n int) []*task {
+	ts := make([]*task, n)
+	for i := range ts {
+		ts[i] = &task{seq: i}
+	}
+	return ts
+}
+
 // TestPutPolicyGolden drives every put shape, with and without balancing,
 // on a 1-producer/2-consumer pool of 2-slot chunks whose chunk pools are
 // exhausted (nothing was ever consumed, so no pool has a spare): a put

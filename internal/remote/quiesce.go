@@ -127,7 +127,6 @@ func (s *Server) Quiesce(peer string) (moved int64, err error) {
 	putBack := func(ts []*Task) {
 		if len(ts) > 0 {
 			s.reinsert.PutBatch(ts)
-			s.reinsert.Flush()
 		}
 	}
 	for {

@@ -143,13 +143,6 @@ type Ops struct {
 	GetBatches    Counter
 	BatchFastPath Counter
 
-	// LaneFlushes counts SPSC produce-lane flushes performed by this
-	// producer handle (a flush moves the lane's buffered run into chunks
-	// via the batch produce path); LaneFlushSize records the run-size
-	// distribution in tasks. Zero unless Config.LaneSize > 0.
-	LaneFlushes   Counter
-	LaneFlushSize Histogram
-
 	// RemoteTransfers counts task transfers whose chunk home node
 	// differs from the accessing thread's node (NUMA traffic proxy);
 	// LocalTransfers counts same-node transfers.
@@ -191,7 +184,6 @@ type Snapshot struct {
 	RemoteTransfers, LocalTransfers       int64
 	Parks, SaturatedPuts                  int64
 	PutBatches, GetBatches, BatchFastPath int64
-	LaneFlushes                           int64
 
 	// Latency histograms, populated only when latency sampling is on.
 	// Percentile accessors: PutLatency.P50(), GetLatency.P99(), … — see
@@ -200,9 +192,6 @@ type Snapshot struct {
 
 	// Batch-size distributions (value unit: tasks per call).
 	PutBatchSize, GetBatchSize HistogramSnapshot
-
-	// Lane-flush run-size distribution (value unit: tasks per flush).
-	LaneFlushSize HistogramSnapshot
 }
 
 // Snapshot returns a point-in-time copy of the counters.
@@ -214,20 +203,18 @@ func (o *Ops) Snapshot() Snapshot {
 		Steals: o.Steals.Load(), StealAttempts: o.StealAttempts.Load(),
 		ReclaimedChunks: o.ReclaimedChunks.Load(),
 		RescueSteals:    o.RescueSteals.Load(), RescueRescans: o.RescueRescans.Load(),
-		ChunkAllocs:     o.ChunkAllocs.Load(), ChunkReuses: o.ChunkReuses.Load(),
+		ChunkAllocs: o.ChunkAllocs.Load(), ChunkReuses: o.ChunkReuses.Load(),
 		ProduceFull: o.ProduceFull.Load(), ForcePuts: o.ForcePuts.Load(),
 		ForceExpands:    o.ForceExpands.Load(),
 		RemoteTransfers: o.RemoteTransfers.Load(), LocalTransfers: o.LocalTransfers.Load(),
 		Parks: o.Parks.Load(), SaturatedPuts: o.SaturatedPuts.Load(),
 		PutBatches: o.PutBatches.Load(), GetBatches: o.GetBatches.Load(),
 		BatchFastPath: o.BatchFastPath.Load(),
-		LaneFlushes:   o.LaneFlushes.Load(),
 		PutLatency:    o.PutLatency.Snapshot(),
 		GetLatency:    o.GetLatency.Snapshot(),
 		StealLatency:  o.StealLatency.Snapshot(),
 		PutBatchSize:  o.PutBatchSize.Snapshot(),
 		GetBatchSize:  o.GetBatchSize.Snapshot(),
-		LaneFlushSize: o.LaneFlushSize.Snapshot(),
 	}
 }
 
@@ -257,13 +244,11 @@ func (s *Snapshot) Add(s2 Snapshot) {
 	s.PutBatches += s2.PutBatches
 	s.GetBatches += s2.GetBatches
 	s.BatchFastPath += s2.BatchFastPath
-	s.LaneFlushes += s2.LaneFlushes
 	s.PutLatency.Add(s2.PutLatency)
 	s.GetLatency.Add(s2.GetLatency)
 	s.StealLatency.Add(s2.StealLatency)
 	s.PutBatchSize.Add(s2.PutBatchSize)
 	s.GetBatchSize.Add(s2.GetBatchSize)
-	s.LaneFlushSize.Add(s2.LaneFlushSize)
 }
 
 // Sum aggregates a set of snapshots.

@@ -175,7 +175,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	writeCounter(w, "salsa_steal_attempts_total", "Steal invocations.", o.StealAttempts)
 	writeCounter(w, "salsa_chunk_allocs_total", "Fresh chunk allocations.", o.ChunkAllocs)
 	writeCounter(w, "salsa_chunk_reuses_total", "Chunks recycled through a chunk pool or rebuilt from the spare tier.", o.ChunkReuses)
-	writeCounter(w, "salsa_lane_flushes_total", "SPSC produce-lane flushes (Config.LaneSize; lane-full and explicit Flush together).", o.LaneFlushes)
 	writeCounter(w, "salsa_produce_full_total", "produce() failures due to an exhausted chunk pool.", o.ProduceFull)
 	writeCounter(w, "salsa_force_puts_total", "produceForce calls (the policy's last resort; counts calls, not allocations).", o.ForcePuts)
 	writeCounter(w, "salsa_force_expands_total", "Chunk allocations that only force made possible (pool had no spare).", o.ForceExpands)
@@ -378,7 +377,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	writeHistogram(w, "salsa_steal_latency_seconds", "Successful steal latency.", o.StealLatency)
 	writeSizeHistogram(w, "salsa_put_batch_size_tasks", "Tasks offered per PutBatch/TryPutBatch call.", o.PutBatchSize)
 	writeSizeHistogram(w, "salsa_get_batch_size_tasks", "Tasks returned per non-empty GetBatch/TryGetBatch call.", o.GetBatchSize)
-	writeSizeHistogram(w, "salsa_lane_flush_size_tasks", "Tasks published per produce-lane flush.", o.LaneFlushSize)
 }
 
 // writeSizeHistogram renders a histogram whose observations are counts of

@@ -272,7 +272,6 @@ func TestPrometheusExpositionLint(t *testing.T) {
 		"salsa_steals_total",
 		"salsa_chunk_allocs_total",
 		"salsa_chunk_reuses_total",
-		"salsa_lane_flushes_total",
 	} {
 		f := fams2[name]
 		if f == nil {
@@ -288,50 +287,6 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	// counters rather than a wall of zeros.
 	if v := fams2["salsa_puts_total"].samples["salsa_puts_total"]; v != 4000 {
 		t.Errorf("salsa_puts_total = %v, want 4000", v)
-	}
-}
-
-// TestLaneExposition lints a lane-enabled pool so the produce-lane metrics
-// are exercised with real flush traffic, not asserted at zero.
-func TestLaneExposition(t *testing.T) {
-	pool, err := salsa.New[int](salsa.Config{Producers: 1, Consumers: 1, Metrics: true, LaneSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, c := pool.Producer(0), pool.Consumer(0)
-	const tasks = 100
-	for i := 0; i < tasks; i++ {
-		v := i
-		p.Put(&v)
-	}
-	p.Flush() // publish the buffered tail so the drain below can finish
-	for i := 0; i < tasks; i++ {
-		if _, ok := c.Get(); !ok {
-			t.Fatalf("pool empty after %d of %d gets", i, tasks)
-		}
-	}
-
-	var buf bytes.Buffer
-	telemetry.WritePrometheus(&buf, pool.TelemetrySnapshot())
-	fams := parseExposition(t, buf.String())
-
-	flushes := fams["salsa_lane_flushes_total"]
-	if flushes == nil || flushes.typ != "counter" {
-		t.Fatal("salsa_lane_flushes_total missing or not a counter")
-	}
-	nf := flushes.samples["salsa_lane_flushes_total"]
-	if nf < float64(tasks/8) {
-		t.Errorf("salsa_lane_flushes_total = %v, want >= %d (100 puts through an 8-lane)", nf, tasks/8)
-	}
-	hist := fams["salsa_lane_flush_size_tasks"]
-	if hist == nil || hist.typ != "histogram" {
-		t.Fatal("salsa_lane_flush_size_tasks missing or not a histogram")
-	}
-	if got := hist.samples["salsa_lane_flush_size_tasks_sum"]; got != tasks {
-		t.Errorf("lane flush size histogram sum = %v, want %d (every put flushed through the lane)", got, tasks)
-	}
-	if cnt := hist.samples["salsa_lane_flush_size_tasks_count"]; cnt != nf {
-		t.Errorf("flush-size histogram count %v disagrees with salsa_lane_flushes_total %v", cnt, nf)
 	}
 }
 

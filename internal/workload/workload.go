@@ -60,13 +60,6 @@ type Config struct {
 	// the pre-batching behaviour, measured identically.
 	Batch int
 
-	// LaneSize forwards salsa.Config.LaneSize: with a positive value the
-	// single-task Put path buffers through each producer's SPSC lane, and
-	// the producer loops Flush after their last put so every task is
-	// published before the drain is awaited. Meaningful with Batch <= 1
-	// (the batch paths publish immediately).
-	LaneSize int
-
 	// Simulate attaches the NUMA interconnect simulator: every task
 	// transfer is charged on the modelled machine (Figure 1.7 mode).
 	Simulate bool
@@ -151,7 +144,6 @@ func Run(cfg Config) (Result, error) {
 		Allocation:       cfg.Allocation,
 		DisableBalancing: cfg.DisableBalancing,
 		StealOrder:       cfg.StealOrder,
-		LaneSize:         cfg.LaneSize,
 		// The paper's measured configuration omits the linearizable
 		// emptiness protocol (§1.6.2); the pool is never empty for
 		// long in these workloads anyway.
@@ -250,10 +242,6 @@ func Run(cfg Config) (Result, error) {
 					runtime.Gosched()
 				}
 			}
-			// With lanes on, the tail of the run is still buffered
-			// producer-side; publish it so every counted task is
-			// reachable by the drain.
-			p.Flush()
 			produced.Add(int64(n))
 		}(pi)
 	}
@@ -342,7 +330,6 @@ func RunFixed(cfg Config, tasksPerProducer int) (Result, error) {
 		Allocation:       cfg.Allocation,
 		DisableBalancing: cfg.DisableBalancing,
 		StealOrder:       cfg.StealOrder,
-		LaneSize:         cfg.LaneSize,
 		Metrics:          cfg.Metrics,
 		Tracer:           cfg.Tracer,
 	}
@@ -393,9 +380,6 @@ func RunFixed(cfg Config, tasksPerProducer int) (Result, error) {
 			for i := 0; i < tasksPerProducer; i++ {
 				p.Put(next(i))
 			}
-			// Publish any lane-buffered tail: RunFixed's contract is that
-			// every task becomes retrievable.
-			p.Flush()
 		}(pi)
 	}
 	go func() { pwg.Wait(); done.Store(true) }()

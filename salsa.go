@@ -205,22 +205,6 @@ type Config struct {
 	// 2 for SALSA/SALSA+CAS.
 	InitialChunks int
 
-	// LaneSize, when positive, gives every producer handle a fixed-size
-	// SPSC front lane of that many tasks (rounded up to a power of
-	// two): Put buffers into the lane and the whole run is published
-	// into chunks through the batch produce path when the lane fills or
-	// Producer.Flush is called, amortizing the per-task produce cost
-	// across the run (Torquati-style producer batching).
-	//
-	// Semantics trade-off: tasks buffered in a lane are NOT yet in the
-	// pool — they are invisible to Get, to stealing and to the
-	// linearizable emptiness protocol until flushed, and they live in
-	// the producer's goroutine (a crashed producer loses its unflushed
-	// run, exactly like tasks it had not yet Put). Producers must call
-	// Flush before relying on buffered tasks being retrievable. Zero
-	// disables lanes — the default, and the paper's put() semantics.
-	LaneSize int
-
 	// FlightBase offsets this pool's actor ids in the process-global
 	// flight recorder (internal/flight): producer/consumer i records as
 	// actor FlightBase+i. The recorder's per-actor rings are
@@ -332,7 +316,6 @@ func New[T any](cfg Config) (*Pool[T], error) {
 		StealOrder:           cfg.StealOrder,
 		Tracer:               tracer,
 		Latency:              cfg.Metrics,
-		LaneSize:             cfg.LaneSize,
 		FlightBase:           cfg.FlightBase,
 	})
 	if err != nil {
