@@ -95,7 +95,7 @@ type Config[T any] struct {
 
 	// Latency enables wall-clock sampling of Put/Get/steal operations
 	// into the per-handle histograms (stats.Ops.PutLatency & co.). Off
-	// by default: sampling adds two time.Now() calls per operation,
+	// by default: sampling adds two clock reads per operation,
 	// which the paper's microbenchmark regime would notice.
 	Latency bool
 
@@ -251,8 +251,8 @@ func (fw *Framework[T]) Stats() stats.Snapshot {
 // sampleStart opens a latency sample: the current time when Config.Latency
 // is on, the zero Time — which sampleEnd ignores — when it is off. This is
 // the only place the put/get/steal paths read the clock, so a pool without
-// latency sampling pays one predictable branch per operation and no
-// time.Now().
+// latency sampling pays one predictable branch per operation and never
+// reads it.
 func (fw *Framework[T]) sampleStart() (start time.Time) {
 	if fw.cfg.Latency {
 		start = time.Now()
@@ -278,196 +278,127 @@ type Producer[T any] struct {
 
 // Put inserts t (Algorithm 2's put()): produce() along the access list,
 // produceForce() on the closest pool as last resort. t must be non-nil.
-func (p *Producer[T]) Put(t *T) {
-	start := p.fw.sampleStart()
-	p.put(t)
-	sampleEnd(&p.state.Ops.PutLatency, start)
-}
+func (p *Producer[T]) Put(t *T) { p.put(t, true) }
 
-func (p *Producer[T]) put(t *T) {
-	tr := p.state.Tracer
-	access := p.fw.epoch.Load().prodAccess[p.state.ID]
-	if p.fw.cfg.DisableBalancing {
-		if !access[0].Produce(&p.state, t) {
-			if tr != nil {
-				tr.OnProduceFail(telemetry.ProduceEvent{
-					Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-				tr.OnForcePut(telemetry.ProduceEvent{
-					Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-			}
-			access[0].ProduceForce(&p.state, t)
-		}
-		return
-	}
-	for _, pool := range access {
-		if pool.Produce(&p.state, t) {
-			return
-		}
-		if tr != nil {
-			tr.OnProduceFail(telemetry.ProduceEvent{
-				Producer: p.state.ID, Node: p.state.Node, Pool: pool.OwnerID()})
-		}
-	}
-	if tr != nil {
-		tr.OnForcePut(telemetry.ProduceEvent{
-			Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-	}
-	// The forced insert may land in a pool abandoned after the epoch was
-	// loaded; that is safe — abandoned pools remain steal victims and
-	// emptiness-scan subjects forever, so the straggler is reclaimed.
-	access[0].ProduceForce(&p.state, t)
-}
+// TryPut inserts t without the produceForce escape hatch: the access list is
+// walked exactly as in Put, but when every pool refuses (chunk pools
+// exhausted everywhere the producer may reach) the task is rejected instead
+// of force-expanding the closest pool. This is the typed backpressure path —
+// the caller keeps ownership of t and decides whether to retry, shed, or
+// block. Rejections are counted in SaturatedPuts.
+func (p *Producer[T]) TryPut(t *T) bool { return p.put(t, false) }
 
 // PutBatch inserts every task of ts, amortizing the access-list walk (and,
 // on batch-capable pools, the per-task synchronization) across the batch:
 // each pool on the access list is offered the whole remainder, a short
 // count is that pool's overload signal, and whatever no pool accepts is
 // force-inserted into the closest pool — exactly the producer-based
-// balancing of put(), applied to runs instead of single tasks. All tasks
-// in ts must be non-nil. With Latency enabled the whole call is sampled as
-// one PutLatency observation (batches are the unit of work here).
-func (p *Producer[T]) PutBatch(ts []*T) {
+// balancing of Put, applied to runs instead of single tasks. All tasks in
+// ts must be non-nil.
+func (p *Producer[T]) PutBatch(ts []*T) { p.putBatch(ts, true) }
+
+// TryPutBatch inserts a prefix of ts, walking the access list like PutBatch
+// but never force-expanding: it returns how many tasks were accepted
+// (0 ≤ n ≤ len(ts)); tasks ts[n:] remain owned by the caller. A short return
+// is the saturation signal and is counted in SaturatedPuts.
+func (p *Producer[T]) TryPutBatch(ts []*T) int { return p.putBatch(ts, false) }
+
+// access returns this producer's access list for the current epoch. With
+// DisableBalancing the list is cut to its head, so the walk, the forced
+// insert and the saturation verdict all see the nearest pool only: the
+// Figure 1.6 ablation is a one-element access list, not a second policy.
+func (p *Producer[T]) access() []scpool.SCPool[T] {
+	access := p.fw.epoch.Load().prodAccess[p.state.ID]
+	if p.fw.cfg.DisableBalancing {
+		access = access[:1]
+	}
+	return access
+}
+
+func (p *Producer[T]) event(pool scpool.SCPool[T]) telemetry.ProduceEvent {
+	return telemetry.ProduceEvent{Producer: p.state.ID, Node: p.state.Node, Pool: pool.OwnerID()}
+}
+
+// put is the single-task walk behind Put and TryPut: produce() on each pool
+// of the access list in order; when all refuse, force decides between
+// produceForce() on the closest pool and a counted rejection. With Latency
+// on, an accepted call is one PutLatency sample — refusals are not sampled,
+// so polling a saturated pool does not drown the histogram.
+func (p *Producer[T]) put(t *T, force bool) bool {
+	start := p.fw.sampleStart()
+	tr := p.state.Tracer
+	access := p.access()
+	accepted := false
+	for _, pool := range access {
+		if accepted = pool.Produce(&p.state, t); accepted {
+			break
+		}
+		if tr != nil {
+			tr.OnProduceFail(p.event(pool))
+		}
+	}
+	if !accepted {
+		if !force {
+			p.state.Ops.SaturatedPuts.Inc()
+			return false
+		}
+		if tr != nil {
+			tr.OnForcePut(p.event(access[0]))
+		}
+		// The forced insert may land in a pool abandoned after the epoch
+		// was loaded; that is safe — abandoned pools remain steal victims
+		// and emptiness-scan subjects forever, so the straggler is
+		// reclaimed.
+		access[0].ProduceForce(&p.state, t)
+	}
+	sampleEnd(&p.state.Ops.PutLatency, start)
+	return true
+}
+
+// putBatch is the batch walk behind PutBatch and TryPutBatch: the same
+// policy as put with the unaccepted remainder in place of the single task.
+// It returns the number of tasks inserted — len(ts) under force. Every call
+// is counted in PutBatches/PutBatchSize with the size offered, and with
+// Latency on a call that inserted anything is one PutLatency sample
+// (batches are the unit of work here).
+func (p *Producer[T]) putBatch(ts []*T, force bool) int {
 	if len(ts) == 0 {
-		return
+		return 0
 	}
 	// Call-free single-writer increment (stats.Counter.V docs).
 	p.state.Ops.PutBatches.V.Store(p.state.Ops.PutBatches.V.Load() + 1)
 	p.state.Ops.PutBatchSize.Observe(int64(len(ts)))
 	start := p.fw.sampleStart()
-	p.putBatch(ts)
-	sampleEnd(&p.state.Ops.PutLatency, start)
-}
-
-func (p *Producer[T]) putBatch(ts []*T) {
 	tr := p.state.Tracer
-	access := p.fw.epoch.Load().prodAccess[p.state.ID]
-	if p.fw.cfg.DisableBalancing {
-		n := scpool.ProduceBatch(access[0], &p.state, ts)
-		if n < len(ts) {
-			if tr != nil {
-				tr.OnProduceFail(telemetry.ProduceEvent{
-					Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-				tr.OnForcePut(telemetry.ProduceEvent{
-					Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-			}
-			for _, t := range ts[n:] {
-				access[0].ProduceForce(&p.state, t)
-			}
-		}
-		return
-	}
+	access := p.access()
 	rem := ts
 	for _, pool := range access {
-		n := scpool.ProduceBatch(pool, &p.state, rem)
-		rem = rem[n:]
+		rem = rem[scpool.ProduceBatch(pool, &p.state, rem):]
 		if len(rem) == 0 {
-			return
+			break
 		}
 		if tr != nil {
-			tr.OnProduceFail(telemetry.ProduceEvent{
-				Producer: p.state.ID, Node: p.state.Node, Pool: pool.OwnerID()})
+			tr.OnProduceFail(p.event(pool))
 		}
 	}
-	if tr != nil {
-		tr.OnForcePut(telemetry.ProduceEvent{
-			Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-	}
-	for _, t := range rem {
-		access[0].ProduceForce(&p.state, t)
-	}
-}
-
-// TryPut inserts t without the produceForce escape hatch: the access list is
-// walked exactly as in put(), but when every pool refuses (chunk pools
-// exhausted everywhere the producer may reach) the task is rejected instead
-// of force-expanding the closest pool. This is the typed backpressure path —
-// the caller keeps ownership of t and decides whether to retry, shed, or
-// block. Rejections are counted in SaturatedPuts. Latency sampling records
-// accepted calls only, so polling a saturated pool does not drown PutLatency.
-func (p *Producer[T]) TryPut(t *T) bool {
-	start := p.fw.sampleStart()
-	ok := p.tryPut(t)
-	if ok {
-		sampleEnd(&p.state.Ops.PutLatency, start)
-	}
-	return ok
-}
-
-func (p *Producer[T]) tryPut(t *T) bool {
-	tr := p.state.Tracer
-	access := p.fw.epoch.Load().prodAccess[p.state.ID]
-	if p.fw.cfg.DisableBalancing {
-		if access[0].Produce(&p.state, t) {
-			return true
-		}
-		if tr != nil {
-			tr.OnProduceFail(telemetry.ProduceEvent{
-				Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-		}
-		p.state.Ops.SaturatedPuts.Inc()
-		return false
-	}
-	for _, pool := range access {
-		if pool.Produce(&p.state, t) {
-			return true
-		}
-		if tr != nil {
-			tr.OnProduceFail(telemetry.ProduceEvent{
-				Producer: p.state.ID, Node: p.state.Node, Pool: pool.OwnerID()})
+	if len(rem) > 0 {
+		if !force {
+			p.state.Ops.SaturatedPuts.Inc()
+		} else {
+			if tr != nil {
+				tr.OnForcePut(p.event(access[0]))
+			}
+			for _, t := range rem { // see put() on abandoned pools
+				access[0].ProduceForce(&p.state, t)
+			}
+			rem = nil
 		}
 	}
-	p.state.Ops.SaturatedPuts.Inc()
-	return false
-}
-
-// TryPutBatch inserts a prefix of ts, walking the access list like
-// putBatch() but never force-expanding: it returns how many tasks were
-// accepted (0 ≤ n ≤ len(ts)); tasks ts[n:] remain owned by the caller. A
-// short return is the saturation signal and is counted in SaturatedPuts.
-func (p *Producer[T]) TryPutBatch(ts []*T) int {
-	if len(ts) == 0 {
-		return 0
-	}
-	// Counted like PutBatch: every production batch producer (Admission,
-	// the executor, the shard server) comes through here.
-	p.state.Ops.PutBatches.V.Store(p.state.Ops.PutBatches.V.Load() + 1)
-	p.state.Ops.PutBatchSize.Observe(int64(len(ts)))
-	start := p.fw.sampleStart()
-	n := p.tryPutBatch(ts)
-	if n > 0 { // sampled like TryPut: only calls that inserted something
+	n := len(ts) - len(rem)
+	if n > 0 {
 		sampleEnd(&p.state.Ops.PutLatency, start)
 	}
 	return n
-}
-
-func (p *Producer[T]) tryPutBatch(ts []*T) int {
-	tr := p.state.Tracer
-	access := p.fw.epoch.Load().prodAccess[p.state.ID]
-	if p.fw.cfg.DisableBalancing {
-		n := scpool.ProduceBatch(access[0], &p.state, ts)
-		if n < len(ts) {
-			if tr != nil {
-				tr.OnProduceFail(telemetry.ProduceEvent{
-					Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-			}
-			p.state.Ops.SaturatedPuts.Inc()
-		}
-		return n
-	}
-	rem := ts
-	for _, pool := range access {
-		n := scpool.ProduceBatch(pool, &p.state, rem)
-		rem = rem[n:]
-		if len(rem) == 0 {
-			return len(ts)
-		}
-		if tr != nil {
-			tr.OnProduceFail(telemetry.ProduceEvent{
-				Producer: p.state.ID, Node: p.state.Node, Pool: pool.OwnerID()})
-		}
-	}
-	p.state.Ops.SaturatedPuts.Inc()
-	return len(ts) - len(rem)
 }
 
 // Ops returns this producer's operation counters.
@@ -535,59 +466,23 @@ func (c *Consumer[T]) checkLive() {
 
 // Get retrieves a task (Algorithm 2's get()). It returns ok=false only
 // when the system was observed empty — linearizably so unless the framework
-// was configured with NonLinearizableEmpty.
+// was configured with NonLinearizableEmpty. Latency sampling records only
+// successful retrievals (here and in TryGet/GetBatch/TryGetBatch), so
+// spin-polling an empty pool — where Get runs the full emptiness protocol
+// every call — does not drown the histogram in empty-pass latencies.
 func (c *Consumer[T]) Get() (*T, bool) {
 	c.checkLive()
 	start := c.fw.sampleStart()
-	t, ok := c.get()
-	if ok {
-		// Only successful retrievals are sampled, so spin-polling an
-		// empty pool (where Get runs the full emptiness protocol every
-		// call) does not drown the histogram in empty-pass latencies.
+	t, _, _ := c.retrieve(nil, wait{})
+	if t != nil {
 		sampleEnd(&c.state.Ops.GetLatency, start)
 	}
-	return t, ok
-}
-
-func (c *Consumer[T]) get() (*T, bool) {
-	// The first pass runs without a watchdog marker: a single
-	// consume-then-steal traversal is bounded straight-line code that
-	// cannot stall, so the common found-a-task case skips the BeginOp /
-	// EndOp stores entirely. Only a retrieval that enters the retry loop
-	// below — where checkEmpty refutation can spin — marks itself.
-	if t, ok := c.tryOnce(); ok {
-		return t, true
-	}
-	// YieldOnly: Get is not a blocking wait — it retries only while
-	// checkEmpty refutes emptiness — so the backoff escalates to yields
-	// (fixing the GOMAXPROCS=1 livelock where a hot spinner monopolizes
-	// the only P against the in-flight operation it waits on) but never
-	// to timed sleeps: parking here would give a nominally non-sleeping
-	// emptiness probe millisecond latency spikes under contention. The
-	// explicitly blocking GetWait/GetContext paths park.
-	bo := backoff.Backoff{YieldOnly: true}
-	flight.BeginOp(c.state.FID)
-	defer flight.EndOp(c.state.FID)
-	for {
-		if c.killed.Load() {
-			return nil, false // crashed mid-retrieval: unwind as empty
-		}
-		if c.fw.cfg.NonLinearizableEmpty || c.checkEmpty() {
-			c.state.Ops.GetsEmpty.Inc()
-			flight.RecordC(c.state.FID, flight.KGetEmpty, 0, 0, 0)
-			return nil, false
-		}
-		bo.Pause()
-		if t, ok := c.tryOnce(); ok {
-			return t, true
-		}
-	}
+	return t, t != nil
 }
 
 // TryGet performs a single consume-then-steal traversal without the
 // emptiness protocol. A false result means "found nothing this pass", not
-// "the system was empty". Latency sampling records only successful passes,
-// so spin-polling an empty pool does not drown the Get histogram.
+// "the system was empty".
 func (c *Consumer[T]) TryGet() (*T, bool) {
 	c.checkLive()
 	start := c.fw.sampleStart()
@@ -599,33 +494,13 @@ func (c *Consumer[T]) TryGet() (*T, bool) {
 }
 
 // GetWait retrieves a task, waiting through empty periods with bounded
-// spin→yield→sleep backoff until a task arrives or stop is closed. A parked
-// waiter wakes within the backoff's max sleep (1ms) of stop closing.
+// spin→yield→sleep backoff until a task arrives or stop is closed (a nil
+// stop waits for the task). A parked waiter wakes within the backoff's max
+// sleep (1ms) of stop closing.
 func (c *Consumer[T]) GetWait(stop <-chan struct{}) (*T, bool) {
 	c.checkLive()
-	if t, ok := c.tryOnce(); ok {
-		return t, true // bounded first pass: no watchdog marker (see get)
-	}
-	var bo backoff.Backoff
-	flight.BeginOp(c.state.FID)
-	defer flight.EndOp(c.state.FID)
-	for {
-		if c.killed.Load() {
-			return nil, false // crashed mid-retrieval: unwind as empty
-		}
-		select {
-		case <-stop:
-			return nil, false
-		default:
-		}
-		if bo.Pause() {
-			c.state.Ops.Parks.Inc()
-			flight.RecordC(c.state.FID, flight.KPark, 0, 0, 0)
-		}
-		if t, ok := c.tryOnce(); ok {
-			return t, true
-		}
-	}
+	t, _, _ := c.retrieve(nil, wait{park: true, stop: stop})
+	return t, t != nil
 }
 
 // GetContext retrieves a task, waiting like GetWait until one arrives or
@@ -635,27 +510,91 @@ func (c *Consumer[T]) GetWait(stop <-chan struct{}) (*T, bool) {
 // sleep (1ms).
 func (c *Consumer[T]) GetContext(ctx context.Context) (*T, error) {
 	c.checkLive()
-	if t, ok := c.tryOnce(); ok {
-		return t, nil // bounded first pass: no watchdog marker (see get)
+	t, _, err := c.retrieve(nil, wait{park: true, ctx: ctx})
+	return t, err
+}
+
+// wait says how a retrieval that found nothing on its first pass goes on.
+// The zero value is Get's and GetBatch's rule: retry, yielding but never
+// sleeping, for as long as checkEmpty refutes emptiness. park selects the
+// blocking rule of GetWait and GetContext instead: never consult checkEmpty,
+// escalate to timed sleeps (counted in Parks), and give up only when stop
+// is closed or ctx is done. A killed consumer ends either kind.
+type wait struct {
+	park bool
+	stop <-chan struct{}
+	ctx  context.Context
+}
+
+// retrieve is Algorithm 2's get(), written once for the whole Get family:
+// a consume-then-steal pass — tryOnce when dst is nil, tryBatchOnce into
+// dst otherwise — repeated until it finds something or w's exit condition
+// holds. It returns the single task or the batch count; err is ErrKilled or
+// ctx's error, and nil both for success and for the quiet exits (the empty
+// verdict, stop closed).
+func (c *Consumer[T]) retrieve(dst []*T, w wait) (*T, int, error) {
+	// The first pass runs without a watchdog marker: a single
+	// consume-then-steal traversal is bounded straight-line code that
+	// cannot stall, so the common found-a-task case skips the BeginOp /
+	// EndOp stores entirely. Only a retrieval that enters the loop below —
+	// where checkEmpty refutation can spin and a waiter can park — marks
+	// itself.
+	if t, n := c.pass(dst); n > 0 {
+		return t, n, nil
 	}
-	var bo backoff.Backoff
+	// YieldOnly without park: Get is not a blocking wait — it retries only
+	// while checkEmpty refutes emptiness — so the backoff escalates to
+	// yields (fixing the GOMAXPROCS=1 livelock where a hot spinner
+	// monopolizes the only P against the in-flight operation it waits on)
+	// but never to timed sleeps: parking there would give a nominally
+	// non-sleeping emptiness probe millisecond latency spikes under
+	// contention. Pause never reports a park for a YieldOnly backoff.
+	bo := backoff.Backoff{YieldOnly: !w.park}
 	flight.BeginOp(c.state.FID)
 	defer flight.EndOp(c.state.FID)
 	for {
-		if c.killed.Load() {
-			return nil, ErrKilled
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		switch {
+		case c.killed.Load():
+			// Crashed mid-retrieval: Get, GetBatch and GetWait unwind as
+			// not-found; only GetContext passes the cause on.
+			return nil, 0, ErrKilled
+		case !w.park:
+			if c.fw.cfg.NonLinearizableEmpty || c.checkEmpty() {
+				c.state.Ops.GetsEmpty.Inc()
+				flight.RecordC(c.state.FID, flight.KGetEmpty, 0, 0, 0)
+				return nil, 0, nil
+			}
+		case w.ctx != nil:
+			if err := w.ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+		default:
+			select {
+			case <-w.stop:
+				return nil, 0, nil
+			default:
+			}
 		}
 		if bo.Pause() {
 			c.state.Ops.Parks.Inc()
 			flight.RecordC(c.state.FID, flight.KPark, 0, 0, 0)
 		}
-		if t, ok := c.tryOnce(); ok {
-			return t, nil
+		if t, n := c.pass(dst); n > 0 {
+			return t, n, nil
 		}
 	}
+}
+
+// pass runs one consume-then-steal traversal in the caller's shape: the
+// single-task tryOnce when dst is nil, the batched tryBatchOnce otherwise.
+func (c *Consumer[T]) pass(dst []*T) (*T, int) {
+	if dst != nil {
+		return nil, c.tryBatchOnce(dst)
+	}
+	if t, ok := c.tryOnce(); ok {
+		return t, 1
+	}
+	return nil, 0
 }
 
 func (c *Consumer[T]) tryOnce() (*T, bool) {
@@ -709,8 +648,8 @@ func (c *Consumer[T]) stealPass() *T {
 	return nil
 }
 
-// GetBatch retrieves up to len(dst) tasks, blocking like Get: it returns 0
-// only when the system was observed empty — linearizably so unless the
+// GetBatch retrieves up to len(dst) tasks with Get's contract: it returns
+// 0 only when the system was observed empty — linearizably so unless the
 // framework was configured with NonLinearizableEmpty. It amortizes the
 // consume traversal across the batch (one hazard publish and chunk
 // validation per run on SALSA) and, after a successful steal, drains the
@@ -725,34 +664,11 @@ func (c *Consumer[T]) GetBatch(dst []*T) int {
 	// Call-free single-writer increment (stats.Counter.V docs).
 	c.state.Ops.GetBatches.V.Store(c.state.Ops.GetBatches.V.Load() + 1)
 	start := c.fw.sampleStart()
-	n := c.getBatch(dst)
+	_, n, _ := c.retrieve(dst, wait{})
 	if n > 0 {
 		sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return n
-}
-
-func (c *Consumer[T]) getBatch(dst []*T) int {
-	if n := c.tryBatchOnce(dst); n > 0 {
-		return n // bounded first pass: no watchdog marker (see get)
-	}
-	bo := backoff.Backoff{YieldOnly: true} // see get(): yields, never sleeps
-	flight.BeginOp(c.state.FID)
-	defer flight.EndOp(c.state.FID)
-	for {
-		if c.killed.Load() {
-			return 0 // crashed mid-retrieval: unwind as empty
-		}
-		if c.fw.cfg.NonLinearizableEmpty || c.checkEmpty() {
-			c.state.Ops.GetsEmpty.Inc()
-			flight.RecordC(c.state.FID, flight.KGetEmpty, 0, 0, 0)
-			return 0
-		}
-		bo.Pause()
-		if n := c.tryBatchOnce(dst); n > 0 {
-			return n
-		}
-	}
 }
 
 // TryGetBatch performs a single batched consume-then-steal pass without the
