@@ -180,29 +180,26 @@ func TestConcurrentContendedTakes(t *testing.T) {
 		go func(i int) {
 			defer cwg.Done()
 			cs := cons(i)
-			for {
-				var tk *task
+			// The owner consumes, everyone else steals from it. (The owner
+			// must never Steal from its own pool: a task it took that way
+			// and then overwrote with Consume's result would vanish.)
+			take := func() *task {
 				if i == 0 {
-					tk = pools[0].Consume(cs)
-				} else {
-					tk = pools[i].Steal(cs, victim)
+					return pools[0].Consume(cs)
 				}
-				if tk != nil {
+				return pools[i].Steal(cs, victim)
+			}
+			for {
+				if tk := take(); tk != nil {
 					results[i] = append(results[i], tk)
 					continue
 				}
 				select {
 				case <-stop:
-					for {
-						tk := pools[i].Steal(cs, victim)
-						if i == 0 {
-							tk = pools[0].Consume(cs)
-						}
-						if tk == nil {
-							return
-						}
+					for tk := take(); tk != nil; tk = take() {
 						results[i] = append(results[i], tk)
 					}
+					return
 				default:
 				}
 			}

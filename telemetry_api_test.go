@@ -182,9 +182,11 @@ func TestCustomTracerComposesWithCollector(t *testing.T) {
 		v := i
 		p.Put(&v)
 	}
-	// Consumer 1 retrieves everything: with the producer bound to
-	// consumer 0's pool, consumer 1 must steal at least once.
-	h := pool.Consumer(1)
+	// The consumer farthest from the producer retrieves everything: the
+	// tasks sit in the nearest consumer's pool (which one that is depends
+	// on the host's topology), so the far one must steal at least once.
+	access := pool.ProducerAccessList(0)
+	h := pool.Consumer(access[len(access)-1])
 	defer h.Close()
 	n := 0
 	for {
@@ -195,7 +197,7 @@ func TestCustomTracerComposesWithCollector(t *testing.T) {
 		break
 	}
 	if n != 1000 {
-		t.Fatalf("consumer 1 retrieved %d tasks, want 1000", n)
+		t.Fatalf("consumer %d retrieved %d tasks, want 1000", h.ID(), n)
 	}
 	if ct.steals.Load() == 0 {
 		t.Error("custom tracer saw no steal events despite cross-consumer drain")
