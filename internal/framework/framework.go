@@ -248,11 +248,10 @@ func (fw *Framework[T]) Stats() stats.Snapshot {
 	return total
 }
 
-// sampleStart opens a latency sample: the current time when Config.Latency
-// is on, the zero Time — which sampleEnd ignores — when it is off. This is
-// the only place the put/get/steal paths read the clock, so a pool without
-// latency sampling pays one predictable branch per operation and never
-// reads it.
+// sampleStart and sampleEnd bracket one latency sample. They are the only
+// place the put/get/steal paths read the clock, and both turn on
+// Config.Latency alone, so a pool without latency sampling pays two
+// predictable branches per operation and never reads it.
 func (fw *Framework[T]) sampleStart() (start time.Time) {
 	if fw.cfg.Latency {
 		start = time.Now()
@@ -260,9 +259,8 @@ func (fw *Framework[T]) sampleStart() (start time.Time) {
 	return start
 }
 
-// sampleEnd records the time since start into h when the sample is open.
-func sampleEnd(h *stats.Histogram, start time.Time) {
-	if !start.IsZero() {
+func (fw *Framework[T]) sampleEnd(h *stats.Histogram, start time.Time) {
+	if fw.cfg.Latency {
 		h.ObserveSince(start)
 	}
 }
@@ -351,7 +349,7 @@ func (p *Producer[T]) put(t *T, force bool) bool {
 		// reclaimed.
 		access[0].ProduceForce(&p.state, t)
 	}
-	sampleEnd(&p.state.Ops.PutLatency, start)
+	p.fw.sampleEnd(&p.state.Ops.PutLatency, start)
 	return true
 }
 
@@ -396,7 +394,7 @@ func (p *Producer[T]) putBatch(ts []*T, force bool) int {
 	}
 	n := len(ts) - len(rem)
 	if n > 0 {
-		sampleEnd(&p.state.Ops.PutLatency, start)
+		p.fw.sampleEnd(&p.state.Ops.PutLatency, start)
 	}
 	return n
 }
@@ -470,12 +468,21 @@ func (c *Consumer[T]) checkLive() {
 // successful retrievals (here and in TryGet/GetBatch/TryGetBatch), so
 // spin-polling an empty pool — where Get runs the full emptiness protocol
 // every call — does not drown the histogram in empty-pass latencies.
+//
+// Every member of the Get family makes its first pass itself, without a
+// watchdog marker: a single consume-then-steal traversal is bounded
+// straight-line code that cannot stall, so the common found-a-task case
+// skips the BeginOp/EndOp stores entirely. Only a retrieval that comes up
+// dry enters await, which marks itself.
 func (c *Consumer[T]) Get() (*T, bool) {
 	c.checkLive()
 	start := c.fw.sampleStart()
-	t, _, _ := c.retrieve(nil, wait{})
+	t, ok := c.tryOnce()
+	if !ok {
+		t, _, _ = c.await(nil, wait{})
+	}
 	if t != nil {
-		sampleEnd(&c.state.Ops.GetLatency, start)
+		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return t, t != nil
 }
@@ -488,7 +495,7 @@ func (c *Consumer[T]) TryGet() (*T, bool) {
 	start := c.fw.sampleStart()
 	t, ok := c.tryOnce()
 	if ok {
-		sampleEnd(&c.state.Ops.GetLatency, start)
+		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return t, ok
 }
@@ -499,7 +506,10 @@ func (c *Consumer[T]) TryGet() (*T, bool) {
 // sleep (1ms) of stop closing.
 func (c *Consumer[T]) GetWait(stop <-chan struct{}) (*T, bool) {
 	c.checkLive()
-	t, _, _ := c.retrieve(nil, wait{park: true, stop: stop})
+	t, ok := c.tryOnce()
+	if !ok {
+		t, _, _ = c.await(nil, wait{park: true, stop: stop})
+	}
 	return t, t != nil
 }
 
@@ -510,12 +520,15 @@ func (c *Consumer[T]) GetWait(stop <-chan struct{}) (*T, bool) {
 // sleep (1ms).
 func (c *Consumer[T]) GetContext(ctx context.Context) (*T, error) {
 	c.checkLive()
-	t, _, err := c.retrieve(nil, wait{park: true, ctx: ctx})
+	if t, ok := c.tryOnce(); ok {
+		return t, nil
+	}
+	t, _, err := c.await(nil, wait{park: true, ctx: ctx})
 	return t, err
 }
 
-// wait says how a retrieval that found nothing on its first pass goes on.
-// The zero value is Get's and GetBatch's rule: retry, yielding but never
+// wait says how a retrieval whose first pass found nothing goes on. The
+// zero value is Get's and GetBatch's rule: retry, yielding but never
 // sleeping, for as long as checkEmpty refutes emptiness. park selects the
 // blocking rule of GetWait and GetContext instead: never consult checkEmpty,
 // escalate to timed sleeps (counted in Parks), and give up only when stop
@@ -526,22 +539,13 @@ type wait struct {
 	ctx  context.Context
 }
 
-// retrieve is Algorithm 2's get(), written once for the whole Get family:
-// a consume-then-steal pass — tryOnce when dst is nil, tryBatchOnce into
-// dst otherwise — repeated until it finds something or w's exit condition
-// holds. It returns the single task or the batch count; err is ErrKilled or
-// ctx's error, and nil both for success and for the quiet exits (the empty
-// verdict, stop closed).
-func (c *Consumer[T]) retrieve(dst []*T, w wait) (*T, int, error) {
-	// The first pass runs without a watchdog marker: a single
-	// consume-then-steal traversal is bounded straight-line code that
-	// cannot stall, so the common found-a-task case skips the BeginOp /
-	// EndOp stores entirely. Only a retrieval that enters the loop below —
-	// where checkEmpty refutation can spin and a waiter can park — marks
-	// itself.
-	if t, n := c.pass(dst); n > 0 {
-		return t, n, nil
-	}
+// await is the slow path of Algorithm 2's get(), written once for the whole
+// Get family: check w's exit condition, back off, and repeat the
+// consume-then-steal pass — tryOnce when dst is nil, tryBatchOnce into dst
+// otherwise — until one of the two ends the call. It returns the single
+// task or the batch count; err is ErrKilled or ctx's error, and nil both
+// for success and for the quiet exits (the empty verdict, stop closed).
+func (c *Consumer[T]) await(dst []*T, w wait) (*T, int, error) {
 	// YieldOnly without park: Get is not a blocking wait — it retries only
 	// while checkEmpty refutes emptiness — so the backoff escalates to
 	// yields (fixing the GOMAXPROCS=1 livelock where a hot spinner
@@ -579,22 +583,14 @@ func (c *Consumer[T]) retrieve(dst []*T, w wait) (*T, int, error) {
 			c.state.Ops.Parks.Inc()
 			flight.RecordC(c.state.FID, flight.KPark, 0, 0, 0)
 		}
-		if t, n := c.pass(dst); n > 0 {
-			return t, n, nil
+		if dst == nil {
+			if t, ok := c.tryOnce(); ok {
+				return t, 1, nil
+			}
+		} else if n := c.tryBatchOnce(dst); n > 0 {
+			return nil, n, nil
 		}
 	}
-}
-
-// pass runs one consume-then-steal traversal in the caller's shape: the
-// single-task tryOnce when dst is nil, the batched tryBatchOnce otherwise.
-func (c *Consumer[T]) pass(dst []*T) (*T, int) {
-	if dst != nil {
-		return nil, c.tryBatchOnce(dst)
-	}
-	if t, ok := c.tryOnce(); ok {
-		return t, 1
-	}
-	return nil, 0
 }
 
 func (c *Consumer[T]) tryOnce() (*T, bool) {
@@ -641,7 +637,7 @@ func (c *Consumer[T]) stealPass() *T {
 		v := c.victims[(start+k)%n]
 		stealStart := c.fw.sampleStart()
 		if t := c.myPool.Steal(&c.state, v); t != nil {
-			sampleEnd(&c.state.Ops.StealLatency, stealStart)
+			c.fw.sampleEnd(&c.state.Ops.StealLatency, stealStart)
 			return t
 		}
 	}
@@ -664,9 +660,12 @@ func (c *Consumer[T]) GetBatch(dst []*T) int {
 	// Call-free single-writer increment (stats.Counter.V docs).
 	c.state.Ops.GetBatches.V.Store(c.state.Ops.GetBatches.V.Load() + 1)
 	start := c.fw.sampleStart()
-	_, n, _ := c.retrieve(dst, wait{})
+	n := c.tryBatchOnce(dst)
+	if n == 0 {
+		_, n, _ = c.await(dst, wait{})
+	}
 	if n > 0 {
-		sampleEnd(&c.state.Ops.GetLatency, start)
+		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return n
 }
@@ -683,7 +682,7 @@ func (c *Consumer[T]) TryGetBatch(dst []*T) int {
 	start := c.fw.sampleStart()
 	n := c.tryBatchOnce(dst)
 	if n > 0 {
-		sampleEnd(&c.state.Ops.GetLatency, start)
+		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return n
 }

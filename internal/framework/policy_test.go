@@ -288,7 +288,7 @@ type getCase struct {
 
 	// whileParked, when set, runs on another goroutine once the waiter's
 	// Parks counter has moved — i.e. the call is provably in its wait loop.
-	whileParked func(fw *framework.Framework[task], stop chan struct{}, cancel func())
+	whileParked func(t *testing.T, fw *framework.Framework[task], stop chan struct{}, cancel func())
 	// killInside kills the consumer from inside its own retrieval (a
 	// checkEmpty failpoint), the only way to kill a non-waiting Get
 	// mid-call.
@@ -307,14 +307,14 @@ type getCase struct {
 // caller is parked. Parks may move only for the waiting variants and
 // GetsEmpty only for the checkEmpty verdict of Get and GetBatch.
 func TestGetFamilyExits(t *testing.T) {
-	putOne := func(fw *framework.Framework[task], _ chan struct{}, _ func()) {
+	putOne := func(_ *testing.T, fw *framework.Framework[task], _ chan struct{}, _ func()) {
 		fw.Producer(0).Put(&task{seq: 7})
 	}
-	closeStop := func(_ *framework.Framework[task], stop chan struct{}, _ func()) { close(stop) }
-	cancelCtx := func(_ *framework.Framework[task], _ chan struct{}, cancel func()) { cancel() }
-	kill := func(fw *framework.Framework[task], _ chan struct{}, _ func()) {
+	closeStop := func(_ *testing.T, _ *framework.Framework[task], stop chan struct{}, _ func()) { close(stop) }
+	cancelCtx := func(_ *testing.T, _ *framework.Framework[task], _ chan struct{}, cancel func()) { cancel() }
+	kill := func(t *testing.T, fw *framework.Framework[task], _ chan struct{}, _ func()) {
 		if err := fw.KillConsumer(0); err != nil {
-			panic(err)
+			t.Errorf("KillConsumer while parked: %v", err)
 		}
 	}
 
@@ -406,7 +406,7 @@ func runGetCase(t *testing.T, tc getCase) {
 			for c.Ops().Parks == 0 {
 				time.Sleep(50 * time.Microsecond)
 			}
-			tc.whileParked(fw, stop, cancel)
+			tc.whileParked(t, fw, stop, cancel)
 		}()
 	}
 
