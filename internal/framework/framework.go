@@ -464,8 +464,17 @@ func (c *Consumer[T]) checkLive() {
 
 // Get retrieves a task (Algorithm 2's get()). It returns ok=false only
 // when the system was observed empty — linearizably so unless the framework
-// was configured with NonLinearizableEmpty. Latency sampling records only
-// successful retrievals (here and in TryGet/GetBatch/TryGetBatch), so
+// was configured with NonLinearizableEmpty.
+func (c *Consumer[T]) Get() (*T, bool) { return c.get(true) }
+
+// TryGet performs a single consume-then-steal traversal without the
+// emptiness protocol. A false result means "found nothing this pass", not
+// "the system was empty".
+func (c *Consumer[T]) TryGet() (*T, bool) { return c.get(false) }
+
+// get is the single-task retrieval behind Get and TryGet: one pass, and
+// under untilEmpty the await loop until checkEmpty's verdict. Latency
+// sampling records only successful retrievals (here and in getBatch), so
 // spin-polling an empty pool — where Get runs the full emptiness protocol
 // every call — does not drown the histogram in empty-pass latencies.
 //
@@ -474,30 +483,17 @@ func (c *Consumer[T]) checkLive() {
 // straight-line code that cannot stall, so the common found-a-task case
 // skips the BeginOp/EndOp stores entirely. Only a retrieval that comes up
 // dry enters await, which marks itself.
-func (c *Consumer[T]) Get() (*T, bool) {
+func (c *Consumer[T]) get(untilEmpty bool) (*T, bool) {
 	c.checkLive()
 	start := c.fw.sampleStart()
 	t, ok := c.tryOnce()
-	if !ok {
+	if !ok && untilEmpty {
 		t, _, _ = c.await(nil, wait{})
 	}
 	if t != nil {
 		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
 	}
 	return t, t != nil
-}
-
-// TryGet performs a single consume-then-steal traversal without the
-// emptiness protocol. A false result means "found nothing this pass", not
-// "the system was empty".
-func (c *Consumer[T]) TryGet() (*T, bool) {
-	c.checkLive()
-	start := c.fw.sampleStart()
-	t, ok := c.tryOnce()
-	if ok {
-		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
-	}
-	return t, ok
 }
 
 // GetWait retrieves a task, waiting through empty periods with bounded
@@ -652,7 +648,15 @@ func (c *Consumer[T]) stealPass() *T {
 // migrated chunk's remainder into dst instead of returning a single task.
 // With Latency enabled a non-empty call is sampled as one GetLatency
 // observation.
-func (c *Consumer[T]) GetBatch(dst []*T) int {
+func (c *Consumer[T]) GetBatch(dst []*T) int { return c.getBatch(dst, true) }
+
+// TryGetBatch performs a single batched consume-then-steal pass without the
+// emptiness protocol. Zero means "found nothing this pass", not "the system
+// was empty".
+func (c *Consumer[T]) TryGetBatch(dst []*T) int { return c.getBatch(dst, false) }
+
+// getBatch is get() for a batch: tryBatchOnce in place of tryOnce.
+func (c *Consumer[T]) getBatch(dst []*T, untilEmpty bool) int {
 	c.checkLive()
 	if len(dst) == 0 {
 		return 0
@@ -661,26 +665,9 @@ func (c *Consumer[T]) GetBatch(dst []*T) int {
 	c.state.Ops.GetBatches.V.Store(c.state.Ops.GetBatches.V.Load() + 1)
 	start := c.fw.sampleStart()
 	n := c.tryBatchOnce(dst)
-	if n == 0 {
+	if n == 0 && untilEmpty {
 		_, n, _ = c.await(dst, wait{})
 	}
-	if n > 0 {
-		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
-	}
-	return n
-}
-
-// TryGetBatch performs a single batched consume-then-steal pass without the
-// emptiness protocol. Zero means "found nothing this pass", not "the system
-// was empty".
-func (c *Consumer[T]) TryGetBatch(dst []*T) int {
-	c.checkLive()
-	if len(dst) == 0 {
-		return 0
-	}
-	c.state.Ops.GetBatches.V.Store(c.state.Ops.GetBatches.V.Load() + 1)
-	start := c.fw.sampleStart()
-	n := c.tryBatchOnce(dst)
 	if n > 0 {
 		c.fw.sampleEnd(&c.state.Ops.GetLatency, start)
 	}

@@ -12,22 +12,25 @@ import (
 	"salsa/internal/topology"
 )
 
+// newFW builds a SALSA-backed framework on the paper's 32-core topology;
+// mutate may adjust the config (the SCPool family is sized for its
+// MaxConsumers) before construction.
 func newFW(t *testing.T, producers, consumers, chunk int, mutate func(*framework.Config[task])) *framework.Framework[task] {
 	t.Helper()
-	shared, err := core.NewShared[task](core.Options{ChunkSize: chunk, Consumers: consumers})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := framework.Config[task]{
 		Producers: producers,
 		Consumers: consumers,
 		Placement: topology.Place(topology.Paper32(), producers, consumers, topology.PlaceInterleaved),
-		NewPool: func(owner, node, prods int) (scpool.SCPool[task], error) {
-			return shared.NewPool(owner, node, prods)
-		},
 	}
 	if mutate != nil {
 		mutate(&cfg)
+	}
+	shared, err := core.NewShared[task](core.Options{ChunkSize: chunk, Consumers: max(consumers, cfg.MaxConsumers)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NewPool = func(owner, node, prods int) (scpool.SCPool[task], error) {
+		return shared.NewPool(owner, node, prods)
 	}
 	fw, err := framework.New(cfg)
 	if err != nil {
@@ -58,104 +61,6 @@ func TestDefaultPlacementIsUMA(t *testing.T) {
 	}
 	if fw.Placement().Topo.NumNodes() != 1 {
 		t.Errorf("default topology has %d nodes, want 1", fw.Placement().Topo.NumNodes())
-	}
-}
-
-// TestProducerBasedBalancing: with a tiny chunk budget, a producer whose
-// nearest consumer is saturated must divert to other pools rather than
-// expand the nearest one.
-func TestProducerBasedBalancing(t *testing.T) {
-	const chunk = 4
-	fw := newFW(t, 1, 4, chunk, nil)
-	p := fw.Producer(0)
-	// No consumer ever runs: chunk pools stay empty, so each put after
-	// the first forced chunk tests the access-list walk. All inserts
-	// must land *somewhere* without panicking, and force-expansions go
-	// to the closest pool only.
-	for i := 0; i < chunk*8; i++ {
-		p.Put(&task{seq: i})
-	}
-	ops := p.Ops()
-	if ops.Puts != chunk*8 {
-		t.Fatalf("Puts = %d, want %d", ops.Puts, chunk*8)
-	}
-	// Without any consumption there are no spare chunks anywhere, so
-	// every new chunk is a forced allocation on the closest pool, and
-	// produce() failures must have been recorded on the way.
-	if ops.ProduceFull == 0 {
-		t.Error("no produce() failures recorded; balancing never engaged")
-	}
-	if ops.ForcePuts == 0 {
-		t.Error("no forced inserts recorded")
-	}
-}
-
-// TestBalancingFollowsConsumptionRate: a fast consumer recycles more chunks
-// into its pool, so producers should direct more tasks at it (§1.5.4).
-func TestBalancingFollowsConsumptionRate(t *testing.T) {
-	const chunk = 8
-	fw := newFW(t, 1, 2, chunk, nil)
-	p := fw.Producer(0)
-	fast := fw.Consumer(0)
-	slowIdx := 1
-	_ = slowIdx // consumer 1 never consumes
-
-	counts := [2]int{}
-	for round := 0; round < 200; round++ {
-		p.Put(&task{seq: round})
-		// Fast consumer drains immediately, recycling chunks into its
-		// own pool.
-		if tk, ok := fast.TryGet(); ok {
-			_ = tk
-			counts[0]++
-		}
-	}
-	if counts[0] == 0 {
-		t.Fatal("fast consumer never got a task")
-	}
-	// The fast consumer's pool must have absorbed the bulk of traffic.
-	s := fw.Stats()
-	if s.ProduceFull == 0 && s.ForcePuts > 10 {
-		t.Errorf("producer kept forcing (%d) without balancing attempts", s.ForcePuts)
-	}
-}
-
-// TestDisableBalancing pins all inserts to the first pool.
-func TestDisableBalancing(t *testing.T) {
-	fw := newFW(t, 1, 4, 4, func(c *framework.Config[task]) { c.DisableBalancing = true })
-	p := fw.Producer(0)
-	for i := 0; i < 64; i++ {
-		p.Put(&task{seq: i})
-	}
-	// All tasks must be drainable from exactly one pool without steals:
-	// find it by consuming with its owner.
-	total := 0
-	for ci := 0; ci < 4; ci++ {
-		c := fw.Consumer(ci)
-		for {
-			if _, ok := c.TryGet(); !ok {
-				break
-			}
-			total++
-		}
-		snap := c.Ops()
-		if ci == 0 && snap.Steals > 0 {
-			// Consumer 0 may legitimately steal if the producer's
-			// nearest pool is another consumer's; what matters is
-			// below: a single pool held everything.
-			_ = snap
-		}
-	}
-	if total != 64 {
-		t.Fatalf("drained %d, want 64", total)
-	}
-	// Every chunk was force-expanded on the single target pool; no other
-	// pool was even tried, so failures == forced expansions (one probe
-	// each), never more.
-	s := fw.Stats()
-	if s.ProduceFull > s.ForcePuts {
-		t.Errorf("ProduceFull=%d > ForcePuts=%d: producer probed other pools despite DisableBalancing",
-			s.ProduceFull, s.ForcePuts)
 	}
 }
 

@@ -15,23 +15,7 @@ import (
 // SALSA family is sized to the capacity, as salsa.Config does it.
 func newElasticFW(t *testing.T, producers, consumers, maxConsumers, chunk int) *framework.Framework[task] {
 	t.Helper()
-	shared, err := core.NewShared[task](core.Options{ChunkSize: chunk, Consumers: maxConsumers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := framework.New(framework.Config[task]{
-		Producers:    producers,
-		Consumers:    consumers,
-		MaxConsumers: maxConsumers,
-		Placement:    topology.Place(topology.Paper32(), producers, consumers, topology.PlaceInterleaved),
-		NewPool: func(owner, node, prods int) (scpool.SCPool[task], error) {
-			return shared.NewPool(owner, node, prods)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fw
+	return newFW(t, producers, consumers, chunk, func(c *framework.Config[task]) { c.MaxConsumers = maxConsumers })
 }
 
 func TestAddConsumerJoinsLiveSet(t *testing.T) {

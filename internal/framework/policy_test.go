@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,26 +46,47 @@ func (*recorder) OnSteal(telemetry.StealEvent)                     {}
 func (*recorder) OnChunkTransfer(telemetry.ChunkTransferEvent)     {}
 func (*recorder) OnCheckEmptyRound(telemetry.CheckEmptyRoundEvent) {}
 
-// putOp is one producer call in a script: n > 0 makes it the batch form
-// with n fresh tasks.
-type putOp struct {
-	try bool
-	n   int
+// call runs one entry point, named as in a script — "Put", "TryPutBatch:3"
+// (three fresh tasks), "GetBatch" — and returns its log entry: the name,
+// plus "=result" for the entries that return one.
+func call(op string, p *framework.Producer[task], c *framework.Consumer[task]) string {
+	name, arg, _ := strings.Cut(op, ":")
+	n, _ := strconv.Atoi(arg)
+	dst := make([]*task, 4)
+	var result any
+	switch name {
+	case "Put":
+		p.Put(&task{})
+		return op
+	case "PutBatch":
+		p.PutBatch(makeTasks(n))
+		return op
+	case "TryPut":
+		result = p.TryPut(&task{})
+	case "TryPutBatch":
+		result = p.TryPutBatch(makeTasks(n))
+	case "Get":
+		_, result = c.Get()
+	case "TryGet":
+		_, result = c.TryGet()
+	case "GetBatch":
+		result = c.GetBatch(dst)
+	case "TryGetBatch":
+		result = c.TryGetBatch(dst)
+	default:
+		panic("unknown op " + op)
+	}
+	return fmt.Sprintf("%s=%v", op, result)
 }
 
-func (op putOp) run(p *framework.Producer[task]) string {
-	switch {
-	case op.n == 0 && !op.try:
-		p.Put(&task{})
-		return "Put"
-	case op.n == 0:
-		return fmt.Sprintf("TryPut=%v", p.TryPut(&task{}))
-	case !op.try:
-		p.PutBatch(makeTasks(op.n))
-		return fmt.Sprintf("PutBatch(%d)", op.n)
-	default:
-		return fmt.Sprintf("TryPutBatch(%d)=%d", op.n, p.TryPutBatch(makeTasks(op.n)))
+// run plays a space-separated script of calls and returns the log: the
+// tracer's events interleaved with each call's entry.
+func (r *recorder) run(script string, p *framework.Producer[task], c *framework.Consumer[task]) string {
+	r.log = nil
+	for _, op := range strings.Fields(script) {
+		r.log = append(r.log, call(op, p, c))
 	}
+	return strings.Join(r.log, " ")
 }
 
 func makeTasks(n int) []*task {
@@ -75,147 +97,91 @@ func makeTasks(n int) []*task {
 	return ts
 }
 
-// TestPutPolicyGolden drives every put shape, with and without balancing,
-// on a 1-producer/2-consumer pool of 2-slot chunks whose chunk pools are
-// exhausted (nothing was ever consumed, so no pool has a spare): a put
-// that needs a fresh chunk is refused by every pool it asks. The log
-// interleaves the tracer's events with each call's result.
-func TestPutPolicyGolden(t *testing.T) {
-	put, tryPut := putOp{}, putOp{try: true}
-	batch := func(n int) putOp { return putOp{n: n} }
-	tryBatch := func(n int) putOp { return putOp{try: true, n: n} }
+// newTracedFW is the pool every put table uses: 1 producer, 2 consumers,
+// 2-slot chunks, the recorder attached. A fresh one has exhausted chunk
+// pools — nothing was ever consumed, so no pool has a spare, and a put that
+// needs a fresh chunk is refused by every pool it asks.
+func newTracedFW(t *testing.T, noBalancing bool) (*framework.Framework[task], *recorder) {
+	rec := &recorder{}
+	fw := newFW(t, 1, 2, 2, func(c *framework.Config[task]) {
+		c.Tracer = rec
+		c.DisableBalancing = noBalancing
+	})
+	rec.near = fw.Placement().ProducerAccessList(0)[0]
+	return fw, rec
+}
 
+// TestPutPolicyGolden drives every put shape, with and without balancing,
+// against exhausted chunk pools.
+func TestPutPolicyGolden(t *testing.T) {
 	cases := []struct {
-		name          string
-		noBalancing   bool
-		script        []putOp
-		want          []string
-		puts          int64
-		forcePuts     int64
-		saturatedPuts int64
-		putBatches    int64 // batch calls, refused ones included
-		batchTasks    int64 // tasks offered across them (PutBatchSize sum)
+		script string
+		// want is the log with balancing on. Under DisableBalancing the
+		// access list is the near pool alone, so the log must be the same
+		// minus the far pool's refusals, with every return value and
+		// counter unchanged.
+		want                           string
+		puts, forcePuts, saturatedPuts int64
+		putBatches, batchTasks         int64 // batch calls (refused ones included) and the tasks they offered
 	}{
-		{
-			// Put 1 and 3 need a chunk: the whole list refuses, the
-			// nearest pool is force-expanded. Put 2 lands in the chunk
-			// put 1 opened.
-			name:   "Put/balancing",
-			script: []putOp{put, put, put},
-			want: []string{
-				"fail:near", "fail:far", "force:near", "Put",
-				"Put",
-				"fail:near", "fail:far", "force:near", "Put",
-			},
-			puts: 3, forcePuts: 2,
-		},
-		{
-			name:        "Put/DisableBalancing",
-			noBalancing: true,
-			script:      []putOp{put, put, put},
-			want: []string{
-				"fail:near", "force:near", "Put",
-				"Put",
-				"fail:near", "force:near", "Put",
-			},
-			puts: 3, forcePuts: 2,
-		},
-		{
-			// The Put opens a chunk; the first TryPut fills it, the
-			// second needs a chunk and is rejected without expansion.
-			name:   "TryPut/balancing",
-			script: []putOp{put, tryPut, tryPut},
-			want: []string{
-				"fail:near", "fail:far", "force:near", "Put",
-				"TryPut=true",
-				"fail:near", "fail:far", "TryPut=false",
-			},
-			puts: 2, forcePuts: 1, saturatedPuts: 1,
-		},
-		{
-			name:        "TryPut/DisableBalancing",
-			noBalancing: true,
-			script:      []putOp{put, tryPut, tryPut},
-			want: []string{
-				"fail:near", "force:near", "Put",
-				"TryPut=true",
-				"fail:near", "TryPut=false",
-			},
-			puts: 2, forcePuts: 1, saturatedPuts: 1,
-		},
-		{
-			// One fail per pool and one force event per call, however
-			// many tasks are forced: 5 into an empty list, then 3 of
-			// which one fits the half-full third chunk.
-			name:   "PutBatch/balancing",
-			script: []putOp{batch(5), batch(3)},
-			want: []string{
-				"fail:near", "fail:far", "force:near", "PutBatch(5)",
-				"fail:near", "fail:far", "force:near", "PutBatch(3)",
-			},
-			puts: 8, forcePuts: 7, putBatches: 2, batchTasks: 8,
-		},
-		{
-			name:        "PutBatch/DisableBalancing",
-			noBalancing: true,
-			script:      []putOp{batch(5), batch(3)},
-			want: []string{
-				"fail:near", "force:near", "PutBatch(5)",
-				"fail:near", "force:near", "PutBatch(3)",
-			},
-			puts: 8, forcePuts: 7, putBatches: 2, batchTasks: 8,
-		},
-		{
-			// The accepted prefix is whatever fits the open chunk; the
-			// remainder stays with the caller and counts one
-			// saturation per short call.
-			name:   "TryPutBatch/balancing",
-			script: []putOp{put, tryBatch(3), tryBatch(2)},
-			want: []string{
-				"fail:near", "fail:far", "force:near", "Put",
-				"fail:near", "fail:far", "TryPutBatch(3)=1",
-				"fail:near", "fail:far", "TryPutBatch(2)=0",
-			},
-			puts: 2, forcePuts: 1, saturatedPuts: 2, putBatches: 2, batchTasks: 5,
-		},
-		{
-			name:        "TryPutBatch/DisableBalancing",
-			noBalancing: true,
-			script:      []putOp{put, tryBatch(3), tryBatch(2)},
-			want: []string{
-				"fail:near", "force:near", "Put",
-				"fail:near", "TryPutBatch(3)=1",
-				"fail:near", "TryPutBatch(2)=0",
-			},
-			puts: 2, forcePuts: 1, saturatedPuts: 2, putBatches: 2, batchTasks: 5,
-		},
+		// Put 1 and 3 need a chunk: the whole list refuses, the nearest
+		// pool is force-expanded. Put 2 lands in the chunk put 1 opened.
+		{script: "Put Put Put",
+			want: "fail:near fail:far force:near Put Put fail:near fail:far force:near Put",
+			puts: 3, forcePuts: 2},
+		// The Put opens a chunk; the first TryPut fills it, the second
+		// needs a chunk and is rejected without expansion.
+		{script: "Put TryPut TryPut",
+			want: "fail:near fail:far force:near Put TryPut=true fail:near fail:far TryPut=false",
+			puts: 2, forcePuts: 1, saturatedPuts: 1},
+		// One fail per pool and one force event per call, however many
+		// tasks are forced: 5 into an empty list, then 3 of which one
+		// fits the half-full third chunk.
+		{script: "PutBatch:5 PutBatch:3",
+			want: "fail:near fail:far force:near PutBatch:5 fail:near fail:far force:near PutBatch:3",
+			puts: 8, forcePuts: 7, putBatches: 2, batchTasks: 8},
+		// The accepted prefix is whatever fits the open chunk; the
+		// remainder stays with the caller and counts one saturation per
+		// short call.
+		{script: "Put TryPutBatch:3 TryPutBatch:2",
+			want: "fail:near fail:far force:near Put fail:near fail:far TryPutBatch:3=1 fail:near fail:far TryPutBatch:2=0",
+			puts: 2, forcePuts: 1, saturatedPuts: 2, putBatches: 2, batchTasks: 5},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := &recorder{}
-			fw := newFW(t, 1, 2, 2, func(c *framework.Config[task]) {
-				c.Tracer = rec
-				c.DisableBalancing = tc.noBalancing
+		for _, noBalancing := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/DisableBalancing=%v", tc.script, noBalancing), func(t *testing.T) {
+				fw, rec := newTracedFW(t, noBalancing)
+				p, c := fw.Producer(0), fw.Consumer(0)
+				want := tc.want
+				if noBalancing {
+					want = strings.ReplaceAll(want, "fail:far ", "")
+				}
+				if got := rec.run(tc.script, p, c); got != want {
+					t.Errorf("event log\n got %s\nwant %s", got, want)
+				}
+				ops := p.Ops()
+				if ops.Puts != tc.puts || ops.ForcePuts != tc.forcePuts || ops.SaturatedPuts != tc.saturatedPuts {
+					t.Errorf("Puts/ForcePuts/SaturatedPuts = %d/%d/%d, want %d/%d/%d",
+						ops.Puts, ops.ForcePuts, ops.SaturatedPuts, tc.puts, tc.forcePuts, tc.saturatedPuts)
+				}
+				if ops.PutBatches != tc.putBatches || ops.PutBatchSize.Count != tc.putBatches ||
+					ops.PutBatchSize.SumNs != tc.batchTasks {
+					t.Errorf("PutBatches = %d, PutBatchSize count/sum = %d/%d, want %d calls of %d tasks",
+						ops.PutBatches, ops.PutBatchSize.Count, ops.PutBatchSize.SumNs, tc.putBatches, tc.batchTasks)
+				}
+				// Wherever the tasks landed, one consumer gets all of
+				// them back and no more.
+				var drained int64
+				for ; ; drained++ {
+					if _, ok := c.Get(); !ok {
+						break
+					}
+				}
+				if drained != tc.puts {
+					t.Errorf("drained %d tasks, want %d", drained, tc.puts)
+				}
 			})
-			rec.near = fw.Placement().ProducerAccessList(0)[0]
-			p := fw.Producer(0)
-			for _, op := range tc.script {
-				rec.log = append(rec.log, op.run(p))
-			}
-			if !reflect.DeepEqual(rec.log, tc.want) {
-				t.Errorf("event log\n got %q\nwant %q", rec.log, tc.want)
-			}
-			ops := p.Ops()
-			if ops.Puts != tc.puts || ops.ForcePuts != tc.forcePuts || ops.SaturatedPuts != tc.saturatedPuts {
-				t.Errorf("Puts/ForcePuts/SaturatedPuts = %d/%d/%d, want %d/%d/%d",
-					ops.Puts, ops.ForcePuts, ops.SaturatedPuts, tc.puts, tc.forcePuts, tc.saturatedPuts)
-			}
-			if ops.PutBatches != tc.putBatches || ops.PutBatchSize.Count != tc.putBatches ||
-				ops.PutBatchSize.SumNs != tc.batchTasks {
-				t.Errorf("PutBatches = %d, PutBatchSize count/sum = %d/%d, want %d calls of %d tasks",
-					ops.PutBatches, ops.PutBatchSize.Count, ops.PutBatchSize.SumNs, tc.putBatches, tc.batchTasks)
-			}
-		})
+		}
 	}
 }
 
@@ -225,46 +191,30 @@ func TestPutPolicyGolden(t *testing.T) {
 // looks past the near pool.
 func TestPutWalkStopsAtFirstAcceptingPool(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
+		op          string
 		noBalancing bool
-		op          putOp
-		want        []string
+		want        string
 	}{
-		{"Put", false, putOp{}, []string{"fail:near", "Put"}},
-		{"TryPut", false, putOp{try: true}, []string{"fail:near", "TryPut=true"}},
-		{"PutBatch", false, putOp{n: 2}, []string{"fail:near", "PutBatch(2)"}},
-		{"TryPutBatch", false, putOp{try: true, n: 2}, []string{"fail:near", "TryPutBatch(2)=2"}},
-		{"Put/DisableBalancing", true, putOp{}, []string{"fail:near", "force:near", "Put"}},
-		{"TryPut/DisableBalancing", true, putOp{try: true}, []string{"fail:near", "TryPut=false"}},
+		{"Put", false, "fail:near Put"},
+		{"TryPut", false, "fail:near TryPut=true"},
+		{"PutBatch:2", false, "fail:near PutBatch:2"},
+		{"TryPutBatch:2", false, "fail:near TryPutBatch:2=2"},
+		{"Put", true, "fail:near force:near Put"},
+		{"TryPut", true, "fail:near TryPut=false"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := &recorder{}
-			fw := newFW(t, 1, 2, 2, func(c *framework.Config[task]) {
-				c.Tracer = rec
-				c.DisableBalancing = tc.noBalancing
-			})
-			access := fw.Placement().ProducerAccessList(0)
-			rec.near = access[0]
+		t.Run(fmt.Sprintf("%s/DisableBalancing=%v", tc.op, tc.noBalancing), func(t *testing.T) {
+			fw, rec := newTracedFW(t, tc.noBalancing)
 			p := fw.Producer(0)
 			// Fill one chunk on the near pool and let the far consumer
 			// steal and drain it: the emptied chunk recycles into the
 			// far pool's chunk pool, the only spare in the system.
-			p.Put(&task{})
-			p.Put(&task{})
-			far := fw.Consumer(access[1])
-			for i := 0; i < 2; i++ {
-				if _, ok := far.Get(); !ok {
-					t.Fatalf("far consumer could not drain task %d", i)
-				}
+			far := fw.Consumer(fw.Placement().ProducerAccessList(0)[1])
+			if got := rec.run("Put Put Get Get", p, far); !strings.HasSuffix(got, "Get=true Get=true") {
+				t.Fatalf("far consumer did not drain the near pool's chunk: %s", got)
 			}
-			if _, ok := far.Get(); ok { // recycles the drained chunk on the way to ⊥
-				t.Fatal("third Get found a task")
-			}
-			rec.log = nil
 			before := p.Ops()
-			rec.log = append(rec.log, tc.op.run(p))
-			if !reflect.DeepEqual(rec.log, tc.want) {
-				t.Errorf("event log\n got %q\nwant %q", rec.log, tc.want)
+			if got := rec.run(tc.op, p, far); got != tc.want {
+				t.Errorf("event log\n got %s\nwant %s", got, tc.want)
 			}
 			after := p.Ops()
 			if !tc.noBalancing && (after.ForcePuts != before.ForcePuts || after.SaturatedPuts != 0) {
@@ -459,46 +409,28 @@ func runGetCase(t *testing.T, tc getCase) {
 // gets record nothing, so polling a saturated or empty pool cannot drown
 // the histograms. With Latency off no entry touches a histogram.
 func TestLatencySampling(t *testing.T) {
-	dst := make([]*task, 4)
 	cases := []struct {
-		name     string
-		run      func(p *framework.Producer[task], c *framework.Consumer[task])
-		put, get int64
+		script, want string // want: the calls' results, to show which were accepted
+		put, get     int64
 	}{
-		{"Put", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.Put(&task{}) }, 1, 0},
-		{"PutBatch", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.PutBatch(makeTasks(3)) }, 1, 0},
-		{"TryPut", func(p *framework.Producer[task], _ *framework.Consumer[task]) {
-			p.Put(&task{}) // opens a chunk the TryPut fits in
-			if !p.TryPut(&task{}) {
-				t.Error("TryPut into an open chunk refused")
-			}
-		}, 2, 0},
-		{"TryPut/refused", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.TryPut(&task{}) }, 0, 0},
-		{"TryPutBatch", func(p *framework.Producer[task], _ *framework.Consumer[task]) {
-			p.Put(&task{})
-			if n := p.TryPutBatch(makeTasks(3)); n != 3 {
-				t.Errorf("TryPutBatch into an open chunk accepted %d of 3", n)
-			}
-		}, 2, 0},
-		{"TryPutBatch/refused", func(p *framework.Producer[task], _ *framework.Consumer[task]) { p.TryPutBatch(makeTasks(3)) }, 0, 0},
-		{"Get", func(p *framework.Producer[task], c *framework.Consumer[task]) { p.Put(&task{}); c.Get(); c.Get() }, 1, 1},
-		{"TryGet", func(p *framework.Producer[task], c *framework.Consumer[task]) { p.Put(&task{}); c.TryGet(); c.TryGet() }, 1, 1},
-		{"GetBatch", func(p *framework.Producer[task], c *framework.Consumer[task]) {
-			p.Put(&task{})
-			c.GetBatch(dst)
-			c.GetBatch(dst)
-		}, 1, 1},
-		{"TryGetBatch", func(p *framework.Producer[task], c *framework.Consumer[task]) {
-			p.Put(&task{})
-			c.TryGetBatch(dst)
-			c.TryGetBatch(dst)
-		}, 1, 1},
+		{"Put", "Put", 1, 0},
+		{"PutBatch:3", "PutBatch:3", 1, 0},
+		{"Put TryPut", "Put TryPut=true", 2, 0}, // the Put opens a chunk the TryPut fits in
+		{"TryPut", "TryPut=false", 0, 0},
+		{"Put TryPutBatch:3", "Put TryPutBatch:3=3", 2, 0},
+		{"TryPutBatch:3", "TryPutBatch:3=0", 0, 0},
+		{"Put Get Get", "Put Get=true Get=false", 1, 1},
+		{"Put TryGet TryGet", "Put TryGet=true TryGet=false", 1, 1},
+		{"Put GetBatch GetBatch", "Put GetBatch=1 GetBatch=0", 1, 1},
+		{"Put TryGetBatch TryGetBatch", "Put TryGetBatch=1 TryGetBatch=0", 1, 1},
 	}
 	for _, tc := range cases {
 		for _, latency := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/latency=%v", tc.name, latency), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/latency=%v", tc.script, latency), func(t *testing.T) {
 				fw := newFW(t, 1, 1, 8, func(c *framework.Config[task]) { c.Latency = latency })
-				tc.run(fw.Producer(0), fw.Consumer(0))
+				if got := new(recorder).run(tc.script, fw.Producer(0), fw.Consumer(0)); got != tc.want {
+					t.Fatalf("results %s, want %s", got, tc.want)
+				}
 				s := fw.Stats()
 				wantPut, wantGet := tc.put, tc.get
 				if !latency {

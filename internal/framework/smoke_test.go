@@ -4,11 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"salsa/internal/core"
-	"salsa/internal/framework"
-	"salsa/internal/scpool"
-	"salsa/internal/topology"
 )
 
 type task struct {
@@ -16,31 +11,8 @@ type task struct {
 	seq      int
 }
 
-func newSALSA(t *testing.T, producers, consumers, chunkSize int) *framework.Framework[task] {
-	t.Helper()
-	shared, err := core.NewShared[task](core.Options{
-		ChunkSize: chunkSize,
-		Consumers: consumers,
-	})
-	if err != nil {
-		t.Fatalf("NewShared: %v", err)
-	}
-	fw, err := framework.New(framework.Config[task]{
-		Producers: producers,
-		Consumers: consumers,
-		Placement: topology.Place(topology.Paper32(), producers, consumers, topology.PlaceInterleaved),
-		NewPool: func(owner, node, prods int) (scpool.SCPool[task], error) {
-			return shared.NewPool(owner, node, prods)
-		},
-	})
-	if err != nil {
-		t.Fatalf("framework.New: %v", err)
-	}
-	return fw
-}
-
 func TestSingleProducerSingleConsumerFIFOish(t *testing.T) {
-	fw := newSALSA(t, 1, 1, 8)
+	fw := newFW(t, 1, 1, 8, nil)
 	p, c := fw.Producer(0), fw.Consumer(0)
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -65,7 +37,7 @@ func TestSingleProducerSingleConsumerFIFOish(t *testing.T) {
 func TestStealingDrainsForeignPool(t *testing.T) {
 	// Producer 0's access list starts at some consumer; the OTHER
 	// consumer must still be able to drain everything via stealing.
-	fw := newSALSA(t, 1, 2, 4)
+	fw := newFW(t, 1, 2, 4, nil)
 	p := fw.Producer(0)
 	const n = 64
 	for i := 0; i < n; i++ {
@@ -97,7 +69,7 @@ func TestConcurrentUniqueAndComplete(t *testing.T) {
 		consumers = 4
 		perProd   = 5000
 	)
-	fw := newSALSA(t, producers, consumers, 64)
+	fw := newFW(t, producers, consumers, 64, nil)
 	var producersDone atomic.Bool
 	var wg sync.WaitGroup
 	for i := 0; i < producers; i++ {
