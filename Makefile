@@ -23,6 +23,7 @@ all: build test
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -104,7 +105,9 @@ bench:
 # bursts) with -benchmem against the *committed*
 # BENCH_alloc.json — allocs/op must not grow at all (-alloctol 0) — and
 # only then is the reference refreshed. A hot path that starts allocating
-# fails here before the regression ships.
+# fails here before the regression ships. The benchmark is one goroutine,
+# so -cpu 1 costs nothing and keeps the record name free of the host's
+# GOMAXPROCS suffix — the committed reference matches on any machine.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig14a|BenchmarkBatch' -benchtime 1000000x . > bench_smoke.txt
 	$(GO) run ./cmd/benchjson -o BENCH_batch.json < bench_smoke.txt
@@ -112,7 +115,7 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -compare BENCH_batch.json -tol $(FLIGHT_TOL) < bench_noflight.txt > /dev/null
 	SALSA_FLIGHT_BENCH=1 $(GO) test -run '^$$' -bench 'BenchmarkFig14a|BenchmarkBatch' -benchtime 1000000x . > bench_armed.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_batch.json -tol $(FLIGHT_TOL) < bench_armed.txt > /dev/null
-	$(GO) test -run '^$$' -bench '^BenchmarkAlloc$$' -benchmem -benchtime 300000x . > bench_alloc.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkAlloc$$' -benchmem -benchtime 300000x -cpu 1 . > bench_alloc.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_alloc.json -tol $(ALLOC_NS_TOL) -alloctol 0 < bench_alloc.txt > /dev/null
 	$(GO) run ./cmd/benchjson -o BENCH_alloc.json < bench_alloc.txt
 	@rm -f bench_smoke.txt bench_noflight.txt bench_armed.txt bench_alloc.txt

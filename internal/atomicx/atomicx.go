@@ -9,11 +9,13 @@
 //     ordering: it publishes or consumes data across threads, and the
 //     protocol argument in DESIGN.md §12 cites it. Always sync/atomic, in
 //     every build.
+//
 //   - StoreSC* — the operation needs full sequential consistency: it is one
 //     side of a store-load (Dekker-style) handshake where both threads must
 //     observe a single total order. The take-announce (node.idx.Store)
 //     against the thief's post-CAS re-read is the canonical instance.
 //     Always sync/atomic, in every build.
+//
 //   - RlxI64 / RlxI32 (types, not functions) — the word needs single-copy
 //     atomicity (no torn values) but no ordering against surrounding
 //     operations: locality metadata (chunk home), monotonic statistics
@@ -23,7 +25,7 @@
 //     loads and stores, so the cost of promoting "relaxed would do" to
 //     "seq-cst is all Go has" is directly measurable:
 //
-//         go test -tags salsa_relaxed -run '^$' -bench BenchmarkFig14a .
+//     go test -tags salsa_relaxed -run '^$' -bench BenchmarkFig14a .
 //
 // salsa_relaxed is a MEASUREMENT substrate, not a production mode: plain
 // 64-bit accesses are not atomic on 32-bit targets, and the race detector

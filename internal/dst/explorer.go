@@ -105,10 +105,10 @@ type Report struct {
 	Scenario  string
 	Strategy  string
 	Seed      uint64
-	Schedules int // executed
-	Steps     int // total scheduler decisions
-	Parks     int // backoff would-sleeps from parking backoffs, summed
-	Capped    int // backoff would-sleeps capped by YieldOnly, summed
+	Schedules int  // executed
+	Steps     int  // total scheduler decisions
+	Parks     int  // backoff would-sleeps from parking backoffs, summed
+	Capped    int  // backoff would-sleeps capped by YieldOnly, summed
 	Exhausted bool // DFS only: the bounded tree was fully enumerated
 	Failure   *Failure
 }

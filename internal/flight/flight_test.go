@@ -176,11 +176,11 @@ func TestNextChunkIDMonotonic(t *testing.T) {
 func TestDoubleTakeDetection(t *testing.T) {
 	withRecorder(t, Options{Consumers: 3, Producers: 1, RingSize: 32}, func() {
 		RecordP(0, KChunkPublish, 7, 1, 0)
-		RecordC(1, KTakeFast, 7, 3, 0)         // victim commits slot 3
-		RecordC(2, KStealWin, 7, 1, 0)         // thief steals the chunk
-		RecordC(2, KTakeSteal, 7, 3, 1)        // thief takes slot 3 too
-		RecordC(2, KTakeSteal, 7, 4, 0)        // a LOST take must not count
-		RecordC(1, KTakeSlow, 7, 5, 0)         // lost slow-path CAS either
+		RecordC(1, KTakeFast, 7, 3, 0)  // victim commits slot 3
+		RecordC(2, KStealWin, 7, 1, 0)  // thief steals the chunk
+		RecordC(2, KTakeSteal, 7, 3, 1) // thief takes slot 3 too
+		RecordC(2, KTakeSteal, 7, 4, 0) // a LOST take must not count
+		RecordC(1, KTakeSlow, 7, 5, 0)  // lost slow-path CAS either
 		r := Analyze(Capture("test", "", false))
 		dts := r.DoubleTakes()
 		if len(dts) != 1 {
