@@ -232,6 +232,7 @@ type getCase struct {
 	method string // "Get", "GetBatch", "GetWait", "GetContext"
 
 	preload  bool // a task is in the pool before the call
+	nilStop  bool // GetWait: called with a nil stop channel
 	closed   bool // GetWait: stop is closed before the call
 	canceled bool // GetContext: ctx is cancelled before the call
 	timeout  time.Duration
@@ -299,7 +300,7 @@ func TestGetFamilyExits(t *testing.T) {
 			wantErr: framework.ErrKilled, wantParks: true},
 
 		// GetWait(nil) has no stop: it waits for the task.
-		{name: "GetWait/task arrives while parked", method: "GetWait", whileParked: putOne,
+		{name: "GetWait/task arrives while parked", method: "GetWait", nilStop: true, whileParked: putOne,
 			wantTask: true, wantParks: true},
 		{name: "GetContext/task arrives while parked", method: "GetContext", whileParked: putOne,
 			wantTask: true, wantParks: true},
@@ -316,8 +317,8 @@ func runGetCase(t *testing.T, tc getCase) {
 		fw.Producer(0).Put(&task{seq: 7})
 	}
 
-	var stop chan struct{} // nil unless the case closes it
-	if tc.closed || tc.method == "GetWait" && tc.whileParked != nil && !tc.wantTask {
+	var stop chan struct{}
+	if !tc.nilStop {
 		stop = make(chan struct{})
 	}
 	if tc.closed {
