@@ -87,8 +87,7 @@ var matrix = []scenario{
 // kind stay inside the exactly-once envelope (idempotent PUT_BATCH
 // retry), while worker-path faults that can destroy a committed TASKS
 // delivery carry a KillBudget sized to the fault's #count cap times the
-// batch size, times two because WorkSpec is armed on both shards'
-// worker-path proxies — retrieval is at-most-once past the shard's commit
+// batch size — retrieval is at-most-once past the shard's commit
 // (DESIGN.md §14). That includes worker-path c2s resets: the proxy may
 // deliver the full GET_BATCH request in its pre-cut prefix, so the
 // shard commits a batch onto a connection that is already dead.
@@ -107,13 +106,13 @@ var clusterMatrix = []remote.ClusterScenario{
 		ProdSpec: "c2s=blackhole@0.05#2"},
 	{Name: "slow-drip-lease",
 		WorkSpec:   "s2c=drip:40ms@0.03#3",
-		KillBudget: 2 * 3 * 128}, // a dripped TASKS frame can outlive the lease: its tasks are delivered-but-dead
+		KillBudget: 3 * 128}, // a dripped TASKS frame can outlive the lease: its tasks are delivered-but-dead
 	{Name: "worker-blackhole-rejoin",
 		WorkSpec:   "s2c=blackhole@0.02#2",
-		KillBudget: 2 * 2 * 128},
+		KillBudget: 2 * 128},
 	{Name: "worker-ack-loss",
 		WorkSpec:   "s2c=reset@0.02#2",
-		KillBudget: 2 * 2 * 128},
+		KillBudget: 2 * 128},
 	{Name: "quiesce-handoff",
 		Quiesce: true, WorkersShard1: true, AssertHandoff: true},
 	{Name: "partition-during-quiesce",
@@ -127,7 +126,7 @@ var clusterMatrix = []remote.ClusterScenario{
 		WorkSpec:    "c2s=delay:200us@0.1,c2s=reset@0.01#2",
 		HandoffSpec: "s2c=reset@0.25#2",
 		Quiesce:     true, WorkersAfterQuiesce: 1,
-		KillBudget: 2 * 2 * 128}, // the worker-path c2s resets can each strand one committed batch
+		KillBudget: 2 * 128}, // the worker-path c2s resets can each strand one committed batch
 }
 
 // runCluster executes the cluster matrix and returns the process exit code.
