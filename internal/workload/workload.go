@@ -128,9 +128,12 @@ func (r Result) CASPerGet() float64 {
 	return float64(r.Stats.CAS) / float64(r.Consumed)
 }
 
-// poolConfig is the salsa.Config both harnesses build their pool from.
-func (cfg Config) poolConfig() salsa.Config {
-	return salsa.Config{
+// Run executes the timed produce/consume loop and returns the measurements.
+func Run(cfg Config) (Result, error) {
+	cfg = cfg.withDefaults()
+
+	var machine *numasim.Machine
+	poolCfg := salsa.Config{
 		Algorithm:        cfg.Algorithm,
 		Producers:        cfg.Producers,
 		Consumers:        cfg.Consumers,
@@ -141,21 +144,13 @@ func (cfg Config) poolConfig() salsa.Config {
 		Allocation:       cfg.Allocation,
 		DisableBalancing: cfg.DisableBalancing,
 		StealOrder:       cfg.StealOrder,
-		Metrics:          cfg.Metrics,
-		Tracer:           cfg.Tracer,
+		// The paper's measured configuration omits the linearizable
+		// emptiness protocol (§1.6.2); the pool is never empty for
+		// long in these workloads anyway.
+		NonLinearizableEmpty: true,
+		Metrics:              cfg.Metrics,
+		Tracer:               cfg.Tracer,
 	}
-}
-
-// Run executes the timed produce/consume loop and returns the measurements.
-func Run(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-
-	var machine *numasim.Machine
-	poolCfg := cfg.poolConfig()
-	// The paper's measured configuration omits the linearizable emptiness
-	// protocol (§1.6.2); the pool is never empty for long in these
-	// workloads anyway.
-	poolCfg.NonLinearizableEmpty = true
 	if cfg.Simulate {
 		topo := topology.Synthetic(cfg.NUMANodes, cfg.CoresPerNode)
 		machine = numasim.New(
@@ -324,7 +319,21 @@ func Run(cfg Config) (Result, error) {
 // returns the wall time of the produce+consume phase.
 func RunFixed(cfg Config, tasksPerProducer int) (Result, error) {
 	cfg = cfg.withDefaults()
-	pool, err := salsa.New[Task](cfg.poolConfig())
+	poolCfg := salsa.Config{
+		Algorithm:        cfg.Algorithm,
+		Producers:        cfg.Producers,
+		Consumers:        cfg.Consumers,
+		ChunkSize:        cfg.ChunkSize,
+		NUMANodes:        cfg.NUMANodes,
+		CoresPerNode:     cfg.CoresPerNode,
+		Placement:        cfg.Placement,
+		Allocation:       cfg.Allocation,
+		DisableBalancing: cfg.DisableBalancing,
+		StealOrder:       cfg.StealOrder,
+		Metrics:          cfg.Metrics,
+		Tracer:           cfg.Tracer,
+	}
+	pool, err := salsa.New[Task](poolCfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("workload: %w", err)
 	}
