@@ -1,6 +1,10 @@
 package backoff
 
-import "time"
+import (
+	"time"
+
+	"salsa/internal/seeded"
+)
 
 // Expo defaults: reconnect pacing for wire clients. The first retry waits
 // on the order of DefaultExpoMin; consecutive failures double toward
@@ -57,7 +61,7 @@ func (e *Expo) Next() time.Duration {
 	if step > max {
 		step = max
 	}
-	coin := expoMix(e.Seed ^ (uint64(e.attempt)+1)*0x9e3779b97f4a7c15)
+	coin := seeded.Mix(e.Seed ^ (uint64(e.attempt)+1)*0x9e3779b97f4a7c15)
 	half := step / 2
 	d := half + time.Duration(coin%uint64(half+1))
 	e.attempt++
@@ -71,13 +75,3 @@ func (e *Expo) Attempt() int { return e.attempt }
 // Reset returns the backoff to the first step. Call after a successful
 // attempt so the next failure starts the escalation over.
 func (e *Expo) Reset() { e.attempt = 0 }
-
-// expoMix is the SplitMix64 finalizer (same construction as the failpoint
-// and netchaos schedules use): cheap, well mixed, and stateless, which is
-// what makes the delay sequence replayable from the seed alone.
-func expoMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -8,6 +8,7 @@ import (
 
 	"salsa/internal/backoff"
 	"salsa/internal/failpoint"
+	"salsa/internal/seeded"
 	"salsa/internal/telemetry"
 )
 
@@ -114,8 +115,7 @@ type Report struct {
 }
 
 func mix(seed uint64, i int) uint64 {
-	r := rng{s: seed ^ (uint64(i)+1)*0x9E3779B97F4A7C15}
-	return r.next()
+	return seeded.Mix(seed ^ (uint64(i)+1)*0x9E3779B97F4A7C15)
 }
 
 // runOne executes a single schedule of sc under the given strategy and

@@ -1,5 +1,7 @@
 package dst
 
+import "salsa/internal/seeded"
+
 // Strategy picks the next goroutine to grant. Pick receives the step index
 // and the runnable goroutine ids in ascending order, and must be
 // deterministic in (its seed, the sequence of Pick calls).
@@ -8,38 +10,18 @@ type Strategy interface {
 	Pick(step int, runnable []int) int
 }
 
-// splitmix64 — the same generator the failpoint schedules use: every output
-// is a pure function of the seed and the call count, so schedules derived
-// from it replay exactly.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
 // RandomWalk picks uniformly among the runnable goroutines — the baseline
 // explorer. Cheap and surprisingly effective for shallow races, but the
 // probability of a specific k-step pattern decays as (1/width)^k.
-type RandomWalk struct{ r rng }
+type RandomWalk struct{ r *seeded.RNG }
 
 // NewRandomWalk returns a seeded random-walk strategy.
-func NewRandomWalk(seed uint64) *RandomWalk { return &RandomWalk{r: rng{s: seed}} }
+func NewRandomWalk(seed uint64) *RandomWalk { return &RandomWalk{r: seeded.NewRNG(seed)} }
 
 func (s *RandomWalk) Name() string { return "random" }
 
 func (s *RandomWalk) Pick(_ int, runnable []int) int {
-	return runnable[s.r.intn(len(runnable))]
+	return runnable[s.r.Intn(len(runnable))]
 }
 
 // PCT implements the probabilistic-concurrency-testing scheduler
@@ -50,7 +32,7 @@ func (s *RandomWalk) Pick(_ int, runnable []int) int {
 // a single PCT schedule finds it with probability ≥ 1/(n·k^(d-1)) — a
 // guarantee a uniform walk cannot give for deep bugs.
 type PCT struct {
-	r       rng
+	r       *seeded.RNG
 	depth   int
 	length  int
 	prio    map[int]uint64
@@ -68,7 +50,7 @@ func NewPCT(seed uint64, depth, length int) *PCT {
 		length = 1
 	}
 	s := &PCT{
-		r:       rng{s: seed},
+		r:       seeded.NewRNG(seed),
 		depth:   depth,
 		length:  length,
 		prio:    make(map[int]uint64),
@@ -76,7 +58,7 @@ func NewPCT(seed uint64, depth, length int) *PCT {
 		floor:   1 << 62,
 	}
 	for i := 0; i < depth-1; i++ {
-		s.changes[s.r.intn(length)] = true
+		s.changes[s.r.Intn(length)] = true
 	}
 	return s
 }
@@ -89,7 +71,7 @@ func (s *PCT) Pick(step int, runnable []int) int {
 	// initial priorities above the change-point floor band.
 	for _, id := range runnable {
 		if _, ok := s.prio[id]; !ok {
-			s.prio[id] = (1 << 62) + s.r.next()>>2
+			s.prio[id] = (1 << 62) + s.r.Uint64()>>2
 		}
 	}
 	best := runnable[0]

@@ -1,3 +1,11 @@
+// Package loadgen generates seeded, replayable traffic against the pool
+// and the executor: open-loop arrival processes (Poisson, bursts, diurnal
+// ramps, thundering herds), heavy-tailed task sizes, Zipf producer skew,
+// and priority-class mixes, driven through the admission-control layer so
+// every offered task ends the run accounted exactly once — delivered or
+// measurably shed. The same determinism discipline as the DST and netchaos
+// subsystems: one seeded.RNG stream per schedule, so the same seed yields
+// a byte-identical arrival schedule (see Schedule.Log). DESIGN.md §15.
 package loadgen
 
 import (
@@ -8,6 +16,7 @@ import (
 	"time"
 
 	"salsa"
+	"salsa/internal/seeded"
 )
 
 // ShapeKind selects the arrival process family.
@@ -145,13 +154,13 @@ func zipfWeights(n int, s float64) []float64 {
 }
 
 // BuildSchedule materializes the scenario's arrival plan under seed. The
-// generation is a single sequential pass over one splitmix64 stream:
+// generation is a single sequential pass over one seeded.RNG stream:
 // arrival times first (Lewis–Shedler thinning against the shape's rate
 // envelope, plus the herd spike), then per-arrival producer, class, and
 // size draws in time order — so the schedule is a pure function of
 // (scenario, seed).
 func BuildSchedule(sc Scenario, seed uint64) *Schedule {
-	r := newRNG(seed)
+	r := seeded.NewRNG(seed)
 	shape := sc.Shape
 	horizon := sc.Horizon
 	envelope := shape.maxRate()
@@ -161,13 +170,13 @@ func BuildSchedule(sc Scenario, seed uint64) *Schedule {
 		t := 0.0
 		limit := horizon.Seconds()
 		for {
-			t += r.expo() / envelope
+			t += r.Expo() / envelope
 			if t >= limit {
 				break
 			}
 			at := time.Duration(t * float64(time.Second))
 			// Thinning: accept with probability λ(t)/envelope.
-			if r.float64()*envelope < shape.rateAt(at, horizon) {
+			if r.Float64()*envelope < shape.rateAt(at, horizon) {
 				times = append(times, at)
 			}
 		}
@@ -199,18 +208,18 @@ func BuildSchedule(sc Scenario, seed uint64) *Schedule {
 		a.Index = i
 		// Producer: Zipf rank draw, or uniform.
 		if cum != nil {
-			u := r.float64() * cum[len(cum)-1]
+			u := r.Float64() * cum[len(cum)-1]
 			a.Producer = sort.SearchFloat64s(cum, u)
 			if a.Producer >= sc.Producers { // u == total edge
 				a.Producer = sc.Producers - 1
 			}
 		} else {
-			a.Producer = int(r.next() % uint64(sc.Producers))
+			a.Producer = int(r.Uint64() % uint64(sc.Producers))
 		}
 		a.Seq = s.PerProducer[a.Producer]
 		s.PerProducer[a.Producer]++
 		// Class.
-		if sc.HighFrac > 0 && r.float64() < sc.HighFrac {
+		if sc.HighFrac > 0 && r.Float64() < sc.HighFrac {
 			a.Class = salsa.ClassHigh
 		} else {
 			a.Class = salsa.ClassLow
@@ -221,9 +230,9 @@ func BuildSchedule(sc Scenario, seed uint64) *Schedule {
 			size = 1
 		}
 		if sc.SizeAlpha > 0 {
-			u := r.float64()
+			u := r.Float64()
 			for u == 0 {
-				u = r.float64()
+				u = r.Float64()
 			}
 			size = int(float64(size) * math.Pow(u, -1/sc.SizeAlpha))
 			if sc.SizeCap > 0 && size > sc.SizeCap {
