@@ -110,12 +110,12 @@ func killBudget(s *failpoint.Schedule) int {
 		return 0
 	}
 	budget := 0
-	for _, fr := range s.FiredRules() {
-		if fr.Kind != failpoint.KindKill {
+	for _, r := range s.Rules() {
+		if failpoint.Kind(r.Action) != failpoint.KindKill {
 			continue
 		}
-		if fr.Count > 0 {
-			budget += fr.Count
+		if r.Count > 0 {
+			budget += r.Count
 		} else {
 			budget += 16 // unlimited rule: the harness caps it
 		}
@@ -425,9 +425,9 @@ func RunRound(o Options) (Result, error) {
 	// slot it abandoned. Everything else must drain exactly once.
 	budget := kills.Load()
 	if o.Schedule != nil {
-		for _, fr := range o.Schedule.FiredRules() {
-			if fr.Site == failpoint.ConsumeAfterAnnounce && fr.Kind == failpoint.KindFail {
-				budget += fr.Fired
+		for _, r := range o.Schedule.Rules() {
+			if failpoint.Site(r.Site) == failpoint.ConsumeAfterAnnounce && failpoint.Kind(r.Action) == failpoint.KindFail {
+				budget += r.Fired()
 			}
 		}
 	}

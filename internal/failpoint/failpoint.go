@@ -141,12 +141,8 @@ func (s Site) String() string {
 
 // ParseSite resolves a catalogue name back to its Site.
 func ParseSite(name string) (Site, error) {
-	for s, n := range siteNames {
-		if n == name {
-			return Site(s), nil
-		}
-	}
-	return 0, fmt.Errorf("failpoint: unknown site %q", name)
+	i, err := grammar.Site(name)
+	return Site(i), err
 }
 
 // SiteNames returns the full site catalogue in declaration order.

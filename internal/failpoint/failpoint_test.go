@@ -1,11 +1,19 @@
 package failpoint
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// needSites skips a test that drives the site registry: under
+// salsa_nofailpoint Inject and Fail are constants and no hook ever runs.
+func needSites(t *testing.T) {
+	t.Helper()
+	if !Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
+}
 
 func TestSiteNamesRoundTrip(t *testing.T) {
 	for s := Site(0); s < NumSites; s++ {
@@ -27,6 +35,7 @@ func TestSiteNamesRoundTrip(t *testing.T) {
 }
 
 func TestSetClearArming(t *testing.T) {
+	needSites(t)
 	defer Reset()
 	if Active() {
 		t.Fatal("Active before any Set")
@@ -94,74 +103,39 @@ func TestKillFunc(t *testing.T) {
 	}
 }
 
-func TestParseScheduleSpecs(t *testing.T) {
-	cases := []struct {
-		spec string
-		want []Rule
-	}{
-		{"", nil},
-		{"steal.after-owner-cas=delay:200us@0.2", []Rule{
-			{Site: StealAfterOwnerCAS, Kind: KindDelay, Delay: 200 * time.Microsecond, Rate: 0.2},
-		}},
-		{"membership.kill-mid-steal=kill@0.01#2", []Rule{
-			{Site: MembershipKillMidSteal, Kind: KindKill, Rate: 0.01, Count: 2},
-		}},
-		{"chunkpool.exhausted=fail@0.5, checkempty.between-scans=yield", []Rule{
-			{Site: ChunkpoolExhausted, Kind: KindFail, Rate: 0.5},
-			{Site: CheckEmptyBetweenScans, Kind: KindYield, Rate: 1},
-		}},
-		{"consume.after-announce=kill#1", []Rule{
-			{Site: ConsumeAfterAnnounce, Kind: KindKill, Rate: 1, Count: 1},
-		}},
-		{"produce.before-publish=delay", []Rule{
-			{Site: ProduceBeforePublish, Kind: KindDelay, Delay: 100 * time.Microsecond, Rate: 1},
-		}},
-	}
-	for _, tc := range cases {
+// TestScheduleVocabulary holds the rows only failpoint's vocabulary can
+// answer — the two membership-site swaps, the delay default, and the exact
+// error texts; the grammar itself is tested once, in internal/seeded.
+func TestScheduleVocabulary(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"membership.before-epoch-publish=kill#1", "membership.before-epoch-publish=fail#1"},
+		{"membership.kill-mid-steal=fail@0.01#2", "membership.kill-mid-steal=kill@0.01#2"},
+		{"membership.kill-mid-steal=kill@0.01#2", "membership.kill-mid-steal=kill@0.01#2"},
+		{"produce.before-publish=delay", "produce.before-publish=delay:100µs"},
+		{"checkempty.between-scans=yield, consume.after-announce=kill#1", "checkempty.between-scans=yield,consume.after-announce=kill#1"},
+	} {
 		s, err := ParseSchedule(1, tc.spec)
 		if err != nil {
 			t.Fatalf("ParseSchedule(%q): %v", tc.spec, err)
 		}
-		if len(s.rules) != len(tc.want) {
-			t.Fatalf("ParseSchedule(%q): %d rules, want %d", tc.spec, len(s.rules), len(tc.want))
-		}
-		for i, w := range tc.want {
-			g := s.rules[i]
-			if g.Site != w.Site || g.Kind != w.Kind || g.Delay != w.Delay || g.Rate != w.Rate || g.Count != w.Count {
-				t.Fatalf("ParseSchedule(%q) rule %d = %+v, want %+v", tc.spec, i, g, w)
-			}
-		}
-		// Spec() must parse back to the same rules.
-		rt, err := ParseSchedule(1, s.Spec())
-		if err != nil {
-			t.Fatalf("re-parse of Spec %q: %v", s.Spec(), err)
-		}
-		if len(rt.rules) != len(s.rules) {
-			t.Fatalf("Spec round-trip of %q changed rule count", tc.spec)
-		}
-		for i := range s.rules {
-			if rt.rules[i].String() != s.rules[i].String() {
-				t.Fatalf("Spec round-trip of %q: rule %d %q != %q",
-					tc.spec, i, rt.rules[i].String(), s.rules[i].String())
-			}
+		if got := s.Spec(); got != tc.want {
+			t.Errorf("ParseSchedule(%q).Spec() = %q, want %q", tc.spec, got, tc.want)
 		}
 	}
-
-	for _, bad := range []string{
-		"nonsense",
-		"steal.after-owner-cas=explode",
-		"no.such-site=delay",
-		"steal.after-owner-cas=yield:5ms",
-		"steal.after-owner-cas=delay@2",
-		"steal.after-owner-cas=delay#0",
+	for _, tc := range []struct{ spec, want string }{
+		{"steal.after-owner-cas=yield:5ms", `failpoint: rule "steal.after-owner-cas=yield:5ms": duration only valid for delay`},
+		{"steal.after-owner-cas=explode", `failpoint: rule "steal.after-owner-cas=explode": failpoint: unknown action "explode" (want delay|yield|fail|kill)`},
+		{"no.such-site=delay", `failpoint: unknown site "no.such-site"`},
+		{"nonsense", `failpoint: rule "nonsense": want site=action[:delay][@rate][#count]`},
 	} {
-		if _, err := ParseSchedule(1, bad); err == nil {
-			t.Fatalf("ParseSchedule(%q) succeeded, want error", bad)
+		if _, err := ParseSchedule(1, tc.spec); err == nil || err.Error() != tc.want {
+			t.Errorf("ParseSchedule(%q) error = %v, want %s", tc.spec, err, tc.want)
 		}
 	}
 }
 
 func TestScheduleDeterministicFiring(t *testing.T) {
+	needSites(t)
 	defer Reset()
 	run := func(seed uint64) []bool {
 		s, err := ParseSchedule(seed, "chunkpool.exhausted=fail@0.3")
@@ -202,6 +176,7 @@ func TestScheduleDeterministicFiring(t *testing.T) {
 }
 
 func TestScheduleCountCap(t *testing.T) {
+	needSites(t)
 	defer Reset()
 	s, err := ParseSchedule(7, "chunkpool.exhausted=fail#3")
 	if err != nil {
@@ -224,6 +199,7 @@ func TestScheduleCountCap(t *testing.T) {
 }
 
 func TestScheduleKillConsultsKillFunc(t *testing.T) {
+	needSites(t)
 	defer Reset()
 	granted := atomic.Bool{}
 	SetKillFunc(func(id int) bool { return granted.Load() })
@@ -251,34 +227,8 @@ func TestScheduleKillConsultsKillFunc(t *testing.T) {
 	}
 }
 
-func TestScheduleCountCapConcurrent(t *testing.T) {
-	defer Reset()
-	s, err := ParseSchedule(11, "consume.after-announce=fail#5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Arm()
-	defer s.Disarm()
-	var fired atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				if Fail(ConsumeAfterAnnounce, 0) {
-					fired.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := fired.Load(); got != 5 {
-		t.Fatalf("concurrent count-capped rule fired %d times, want 5", got)
-	}
-}
-
 func TestMultipleRulesSameSite(t *testing.T) {
+	needSites(t)
 	defer Reset()
 	// A delay rule that never gates plus a fail rule behind it: the site
 	// should sleep then report failure.
@@ -305,6 +255,7 @@ func TestMultipleRulesSameSite(t *testing.T) {
 }
 
 func TestDisarmStopsFiring(t *testing.T) {
+	needSites(t)
 	defer Reset()
 	s, _ := ParseSchedule(5, "chunkpool.exhausted=fail")
 	s.Arm()

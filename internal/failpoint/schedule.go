@@ -1,13 +1,11 @@
 package failpoint
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
+
+	"salsa/internal/seeded"
 )
 
 // Kind is the action a schedule rule performs when it fires.
@@ -30,110 +28,52 @@ const (
 	KindKill
 )
 
-var kindNames = map[Kind]string{
-	KindDelay: "delay",
-	KindYield: "yield",
-	KindFail:  "fail",
-	KindKill:  "kill",
+// grammar is failpoint's vocabulary of the shared schedule format (see
+// seeded.Grammar): sites are the catalogue, actions index by Kind.
+var grammar = seeded.Grammar{
+	Prefix: "failpoint",
+	Sites:  siteNames[:],
+	Actions: []seeded.Action{
+		KindDelay: {Name: "delay", TakesDelay: true, Default: 100 * time.Microsecond},
+		KindYield: {Name: "yield"},
+		KindFail:  {Name: "fail"},
+		KindKill:  {Name: "kill"},
+	},
+	Normalize: normalize,
 }
 
-func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-func parseKind(name string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("failpoint: unknown action %q (want delay|yield|fail|kill)", name)
-}
-
-// Rule scripts one site's behaviour within a Schedule.
-type Rule struct {
-	Site  Site
-	Kind  Kind
-	Delay time.Duration // KindDelay only
-	// Rate is the per-visit firing probability in [0,1]. 1 fires on
-	// every visit. Decisions are a pure function of (schedule seed,
-	// site, visit ordinal), so a given seed replays identically.
-	Rate float64
-	// Count caps how many times the rule fires; 0 means unlimited.
-	Count int
-}
-
-// ruleState pairs a Rule with its mutable visit/firing counters, keeping
-// Rule itself a copyable value.
-type ruleState struct {
-	Rule
-	visits atomic.Uint64
-	fired  atomic.Int64
-}
-
-// String renders the rule in schedule-spec syntax.
-func (r Rule) String() string {
-	var b strings.Builder
-	b.WriteString(r.Site.String())
-	b.WriteByte('=')
-	b.WriteString(r.Kind.String())
-	if r.Kind == KindDelay {
-		b.WriteByte(':')
-		b.WriteString(r.Delay.String())
-	}
-	if r.Rate > 0 && r.Rate < 1 {
-		fmt.Fprintf(&b, "@%s", strconv.FormatFloat(r.Rate, 'g', -1, 64))
-	}
-	if r.Count > 0 {
-		fmt.Fprintf(&b, "#%d", r.Count)
-	}
-	return b.String()
-}
-
-// Schedule is a seeded, replayable set of rules. Arm registers one hook per
-// scripted site; every firing decision derives from the seed alone, so
-// printing Seed()+Spec() after a failure is enough to reproduce it (up to
-// the scheduler interleaving the faults provoke).
-type Schedule struct {
-	seed  uint64
-	rules []*ruleState
-	armed bool
-}
-
-// NewSchedule builds an empty schedule with the given seed.
-func NewSchedule(seed uint64) *Schedule {
-	return &Schedule{seed: seed}
-}
-
-// Seed returns the schedule's seed.
-func (s *Schedule) Seed() uint64 { return s.seed }
-
-// Add appends a rule. Rate outside (0,1] is normalized to 1 (always fire).
-// A kill rule on the membership.before-epoch-publish site is silently
-// downgraded to fail: that site fires inside the membership control plane
-// with its locks held, and the kill function re-enters the same locks —
-// a guaranteed self-deadlock, never a useful fault.
-func (s *Schedule) Add(r Rule) *Schedule {
-	if r.Rate <= 0 || r.Rate > 1 {
-		r.Rate = 1
-	}
-	if r.Kind == KindKill && r.Site == MembershipBeforeEpochPublish {
-		r.Kind = KindFail
+// normalize rewrites the two rules that would be unsound as written.
+func normalize(r *seeded.Rule) {
+	// A kill on membership.before-epoch-publish is downgraded to fail:
+	// that site fires inside the membership control plane with its locks
+	// held, and the kill function re-enters the same locks — a guaranteed
+	// self-deadlock, never a useful fault.
+	if Kind(r.Action) == KindKill && Site(r.Site) == MembershipBeforeEpochPublish {
+		r.Action = int(KindFail)
 	}
 	// The converse upgrade on the mid-steal site: its gate simulates the
 	// thief dying after the ownership CAS, which is only sound when the
 	// thief is actually declared crashed (the stranded chunk is reclaimed
 	// through the departed-owner rescue). A bare fail would strand the
 	// chunk under a live owner and silently lose its tasks.
-	if r.Kind == KindFail && r.Site == MembershipKillMidSteal {
-		r.Kind = KindKill
+	if Kind(r.Action) == KindFail && Site(r.Site) == MembershipKillMidSteal {
+		r.Action = int(KindKill)
 	}
-	s.rules = append(s.rules, &ruleState{Rule: r})
-	return s
 }
+
+// Schedule is a seeded, replayable set of rules. Arm registers one hook per
+// scripted site; every firing decision derives from the seed alone, so
+// printing Seed()+Spec() after a failure is enough to reproduce it (up to
+// the scheduler interleaving the faults provoke). Seed, Spec, Rules and the
+// firing census come from the embedded engine schedule.
+type Schedule struct {
+	*seeded.Schedule
+	rules []*ruleState
+	armed bool
+}
+
+// ruleState is one engine rule with failpoint's way of executing it.
+type ruleState struct{ *seeded.Rule }
 
 // ParseSchedule parses a comma-separated schedule spec with seed. Each rule
 // is `site=action[:delay][@rate][#count]`:
@@ -142,122 +82,16 @@ func (s *Schedule) Add(r Rule) *Schedule {
 //	membership.kill-mid-steal=kill@0.01#2
 //	chunkpool.exhausted=fail@0.5
 //	checkempty.between-scans=yield
-//
-// delay applies to the delay action; @rate is a probability in (0,1]
-// (default 1); #count caps total firings (default unlimited).
 func ParseSchedule(seed uint64, spec string) (*Schedule, error) {
-	s := NewSchedule(seed)
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return s, nil
+	eng, err := grammar.Parse(seed, spec)
+	if err != nil {
+		return nil, err
 	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		siteStr, actionStr, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("failpoint: rule %q: want site=action[:delay][@rate][#count]", part)
-		}
-		site, err := ParseSite(strings.TrimSpace(siteStr))
-		if err != nil {
-			return nil, err
-		}
-		r := Rule{Site: site, Rate: 1}
-		if head, cntStr, found := cutLast(actionStr, '#'); found {
-			n, err := strconv.Atoi(cntStr)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("failpoint: rule %q: bad count %q", part, cntStr)
-			}
-			r.Count = n
-			actionStr = head
-		}
-		actionStr = strings.TrimSpace(actionStr)
-		if head, rateStr, found := cutLast(actionStr, '@'); found {
-			rate, err := strconv.ParseFloat(rateStr, 64)
-			if err != nil || rate <= 0 || rate > 1 {
-				return nil, fmt.Errorf("failpoint: rule %q: bad rate %q (want (0,1])", part, rateStr)
-			}
-			r.Rate = rate
-			actionStr = head
-		}
-		kindStr, delayStr, hasDelay := strings.Cut(actionStr, ":")
-		r.Kind, err = parseKind(strings.TrimSpace(kindStr))
-		if err != nil {
-			return nil, fmt.Errorf("failpoint: rule %q: %v", part, err)
-		}
-		if hasDelay {
-			if r.Kind != KindDelay {
-				return nil, fmt.Errorf("failpoint: rule %q: duration only valid for delay", part)
-			}
-			d, err := time.ParseDuration(strings.TrimSpace(delayStr))
-			if err != nil || d < 0 {
-				return nil, fmt.Errorf("failpoint: rule %q: bad duration %q", part, delayStr)
-			}
-			r.Delay = d
-		} else if r.Kind == KindDelay {
-			r.Delay = 100 * time.Microsecond
-		}
-		s.Add(r)
+	s := &Schedule{Schedule: eng}
+	for _, r := range eng.Rules() {
+		s.rules = append(s.rules, &ruleState{r})
 	}
 	return s, nil
-}
-
-// cutLast splits s at the last occurrence of sep, trimming space from both
-// halves. The `#count` and `@rate` suffixes bind after the delay, so they
-// must be cut from the right.
-func cutLast(s string, sep byte) (before, after string, found bool) {
-	if i := strings.LastIndexByte(s, sep); i >= 0 {
-		return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:]), true
-	}
-	return strings.TrimSpace(s), "", false
-}
-
-// Spec renders the schedule back to its parseable spec string, with rules
-// grouped per site in declaration order.
-func (s *Schedule) Spec() string {
-	parts := make([]string, len(s.rules))
-	for i, r := range s.rules {
-		parts[i] = r.String()
-	}
-	return strings.Join(parts, ",")
-}
-
-// Fired returns how many times each rule has fired, keyed by the rule's
-// spec string (for post-run diagnostics).
-func (s *Schedule) Fired() map[string]int64 {
-	out := make(map[string]int64, len(s.rules))
-	for _, r := range s.rules {
-		out[r.String()] += r.fired.Load()
-	}
-	return out
-}
-
-// FiredRule pairs a rule (by value) with its firing count so far.
-type FiredRule struct {
-	Rule
-	Fired int64
-}
-
-// FiredRules returns every rule with its firing count, in declaration
-// order — the structured counterpart of Fired for callers that need the
-// rule's Site/Kind (e.g. a harness computing a crash loss budget).
-func (s *Schedule) FiredRules() []FiredRule {
-	out := make([]FiredRule, len(s.rules))
-	for i, r := range s.rules {
-		out[i] = FiredRule{Rule: r.Rule, Fired: r.fired.Load()}
-	}
-	return out
-}
-
-// TotalFired returns the total number of rule firings so far.
-func (s *Schedule) TotalFired() int64 {
-	var n int64
-	for _, r := range s.rules {
-		n += r.fired.Load()
-	}
-	return n
 }
 
 // Arm registers the schedule's rules with the global registry (one hook per
@@ -268,15 +102,16 @@ func (s *Schedule) Arm() {
 	bySite := make(map[Site][]*ruleState)
 	var order []Site
 	for _, r := range s.rules {
-		if _, seen := bySite[r.Site]; !seen {
-			order = append(order, r.Site)
+		site := Site(r.Site)
+		if _, seen := bySite[site]; !seen {
+			order = append(order, site)
 		}
-		bySite[r.Site] = append(bySite[r.Site], r)
+		bySite[site] = append(bySite[site], r)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, site := range order {
 		rules := bySite[site]
-		seed := s.seed
+		seed := s.Seed()
 		Set(site, func(site Site, id int) bool {
 			for _, r := range rules {
 				if r.apply(seed, site, id) {
@@ -295,12 +130,8 @@ func (s *Schedule) Disarm() {
 	if !s.armed {
 		return
 	}
-	seen := make(map[Site]bool)
 	for _, r := range s.rules {
-		if !seen[r.Site] {
-			seen[r.Site] = true
-			Clear(r.Site)
-		}
+		Clear(Site(r.Site))
 	}
 	s.armed = false
 }
@@ -308,55 +139,23 @@ func (s *Schedule) Disarm() {
 // apply evaluates one rule for one visit; reports whether the rule fired
 // with a failure result (gate sites treat true as "simulate the failure").
 func (r *ruleState) apply(seed uint64, site Site, id int) bool {
-	visit := r.visits.Add(1) - 1
-	if r.Rate < 1 {
-		// Deterministic per-visit coin flip: a pure function of
-		// (seed, site, visit), independent of scheduling.
-		h := splitmix64(seed ^ (uint64(site)+1)<<32 ^ visit)
-		if float64(h>>11)/(1<<53) >= r.Rate {
-			return false
-		}
+	// Deterministic per-visit coin: a pure function of (seed, site, visit),
+	// independent of scheduling.
+	if !r.Fire(seeded.Mix(seed ^ (uint64(site)+1)<<32 ^ r.Visit())) {
+		return false
 	}
-	if r.Count > 0 {
-		// Reserve a firing slot; release it below if a kill declines.
-		if r.fired.Add(1) > int64(r.Count) {
-			r.fired.Add(-1)
-			return false
-		}
-	}
-	switch r.Kind {
+	switch Kind(r.Action) {
 	case KindDelay:
 		time.Sleep(r.Delay)
 	case KindYield:
 		runtime.Gosched()
 	case KindFail:
-		if r.Count == 0 {
-			r.fired.Add(1)
-		}
 		return true
 	case KindKill:
-		if !Kill(id) {
-			if r.Count > 0 {
-				r.fired.Add(-1)
-			}
-			return false
+		if Kill(id) {
+			return true
 		}
-		if r.Count == 0 {
-			r.fired.Add(1)
-		}
-		return true
-	}
-	if r.Count == 0 {
-		r.fired.Add(1)
+		r.Refund() // a declined kill neither fires nor spends the budget
 	}
 	return false
-}
-
-// splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed hash used
-// for replayable per-visit firing decisions.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"salsa/internal/seeded"
 )
 
 // chunkSize is the forwarding granularity: faults are evaluated per
@@ -37,7 +39,7 @@ type Proxy struct {
 // A nil sched means a fault-free (but still proxied) link.
 func Listen(target string, sched *Schedule) (*Proxy, error) {
 	if sched == nil {
-		sched = NewSchedule(0)
+		sched, _ = ParseSchedule(0, "")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -70,7 +72,7 @@ func (p *Proxy) Spec() string { return p.sched.Spec() }
 
 // Faults returns injected-fault totals by action name, the shape of the
 // salsa_netchaos_faults_total{kind} metric family.
-func (p *Proxy) Faults() map[string]int64 { return p.sched.Faults() }
+func (p *Proxy) Faults() map[string]int64 { return p.sched.FiredByAction() }
 
 // Close stops accepting, severs every proxied connection, and waits for
 // the forwarding goroutines to unwind.
@@ -160,7 +162,7 @@ func (p *Proxy) handle(client net.Conn) {
 	defer p.untrack(client)
 
 	if r, coin := p.sched.pick(SiteAccept); r != nil {
-		switch r.Action {
+		switch Action(r.Action) {
 		case ActionDelay, ActionDrip:
 			if !p.sleep(jitter(r.Delay, coin)) {
 				client.Close()
@@ -222,7 +224,7 @@ func (p *Proxy) pump(site Site, src, dst net.Conn, sever func(rst bool)) {
 		if n > 0 && !blackholed {
 			r, coin := p.sched.pick(site)
 			if r != nil {
-				switch r.Action {
+				switch Action(r.Action) {
 				case ActionDelay:
 					if !p.sleep(jitter(r.Delay, coin)) {
 						sever(false)
@@ -280,7 +282,7 @@ func (p *Proxy) drip(dst net.Conn, b []byte, d time.Duration, coin uint64) bool 
 			return false
 		}
 		b = b[k:]
-		if len(b) > 0 && !p.sleep(jitter(d, splitmix64(coin^uint64(i+1)))) {
+		if len(b) > 0 && !p.sleep(jitter(d, seeded.Mix(coin^uint64(i+1)))) {
 			return false
 		}
 	}

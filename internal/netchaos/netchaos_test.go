@@ -10,39 +10,33 @@ import (
 	"time"
 )
 
-func TestScheduleGrammarRoundTrip(t *testing.T) {
-	specs := []string{
-		"s2c=reset@0.05#3",
-		"c2s=delay:5ms@0.2",
-		"accept=blackhole#1",
-		"c2s=drip:20ms@0.1,s2c=blackhole#2",
-		"accept=delay:1ms,c2s=reset",
-	}
-	for _, spec := range specs {
-		s, err := ParseSchedule(1, spec)
-		if err != nil {
-			t.Fatalf("ParseSchedule(%q): %v", spec, err)
-		}
-		if got := s.Spec(); got != spec {
-			t.Errorf("Spec round trip: %q -> %q", spec, got)
-		}
-	}
-	for _, bad := range []string{
-		"nowhere=reset",    // unknown site
-		"c2s=explode",      // unknown action
-		"c2s=reset:5ms",    // duration on a non-delay action
-		"c2s=delay:5ms@2",  // rate out of range
-		"c2s=delay:5ms#0",  // zero count
-		"c2s",              // no action
-		"s2c=delay:banana", // bad duration
+// TestScheduleVocabulary holds the rows only netchaos's vocabulary can
+// answer — the delay/drip default and the exact error texts; the grammar
+// itself is tested once, in internal/seeded.
+func TestScheduleVocabulary(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"c2s=drip@0.1", "c2s=drip:1ms@0.1"},
+		{"accept=delay", "accept=delay:1ms"},
+		{"c2s=drip:20ms@0.1,s2c=blackhole#2", "c2s=drip:20ms@0.1,s2c=blackhole#2"},
+		{"accept=blackhole#1, c2s=reset", "accept=blackhole#1,c2s=reset"},
 	} {
-		if _, err := ParseSchedule(1, bad); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted", bad)
+		s, err := ParseSchedule(1, tc.spec)
+		if err != nil {
+			t.Fatalf("ParseSchedule(%q): %v", tc.spec, err)
+		}
+		if got := s.Spec(); got != tc.want {
+			t.Errorf("ParseSchedule(%q).Spec() = %q, want %q", tc.spec, got, tc.want)
 		}
 	}
-	// Empty spec parses to a no-rule schedule.
-	if s, err := ParseSchedule(1, "  "); err != nil || len(s.rules) != 0 {
-		t.Errorf("empty spec: %v, %d rules", err, len(s.rules))
+	for _, tc := range []struct{ spec, want string }{
+		{"c2s=reset:5ms", `netchaos: rule "c2s=reset:5ms": duration only valid for delay/drip`},
+		{"c2s=explode", `netchaos: rule "c2s=explode": netchaos: unknown action "explode" (want delay|reset|blackhole|drip)`},
+		{"nowhere=reset", `netchaos: unknown site "nowhere" (want accept|c2s|s2c)`},
+		{"c2s", `netchaos: rule "c2s": want site=action[:delay][@rate][#count]`},
+	} {
+		if _, err := ParseSchedule(1, tc.spec); err == nil || err.Error() != tc.want {
+			t.Errorf("ParseSchedule(%q) error = %v, want %s", tc.spec, err, tc.want)
+		}
 	}
 }
 

@@ -27,11 +27,9 @@
 package netchaos
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
+
+	"salsa/internal/seeded"
 )
 
 // Site is where in a proxied connection's life a rule is evaluated.
@@ -48,32 +46,7 @@ const (
 	// SiteS2C is evaluated for every forwarded chunk flowing
 	// server→client.
 	SiteS2C
-
-	siteCount
 )
-
-var siteNames = map[Site]string{
-	SiteAccept: "accept",
-	SiteC2S:    "c2s",
-	SiteS2C:    "s2c",
-}
-
-func (s Site) String() string {
-	if n, ok := siteNames[s]; ok {
-		return n
-	}
-	return fmt.Sprintf("site(%d)", int(s))
-}
-
-// ParseSite resolves a site name.
-func ParseSite(name string) (Site, error) {
-	for s, n := range siteNames {
-		if n == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("netchaos: unknown site %q (want accept|c2s|s2c)", name)
-}
 
 // Action is the fault a rule injects when it fires.
 type Action int
@@ -97,95 +70,23 @@ const (
 	ActionDrip
 )
 
-var actionNames = map[Action]string{
-	ActionDelay:     "delay",
-	ActionReset:     "reset",
-	ActionBlackhole: "blackhole",
-	ActionDrip:      "drip",
+// grammar is netchaos's vocabulary of the shared schedule format (see
+// seeded.Grammar); sites index by Site, actions by Action. A delay or drip
+// written without a duration gets 1ms.
+var grammar = seeded.Grammar{
+	Prefix: "netchaos",
+	Sites:  []string{SiteAccept: "accept", SiteC2S: "c2s", SiteS2C: "s2c"},
+	Actions: []seeded.Action{
+		ActionDelay:     {Name: "delay", TakesDelay: true, Default: time.Millisecond},
+		ActionReset:     {Name: "reset"},
+		ActionBlackhole: {Name: "blackhole"},
+		ActionDrip:      {Name: "drip", TakesDelay: true, Default: time.Millisecond},
+	},
 }
 
-func (a Action) String() string {
-	if n, ok := actionNames[a]; ok {
-		return n
-	}
-	return fmt.Sprintf("action(%d)", int(a))
-}
-
-func parseAction(name string) (Action, error) {
-	for a, n := range actionNames {
-		if n == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("netchaos: unknown action %q (want delay|reset|blackhole|drip)", name)
-}
-
-// Rule scripts one site's behaviour within a Schedule.
-type Rule struct {
-	Site   Site
-	Action Action
-	Delay  time.Duration // ActionDelay and ActionDrip
-	// Rate is the per-visit firing probability in (0,1]; 1 fires on
-	// every visit. Decisions are a pure function of (schedule seed,
-	// site, rule index, visit ordinal), so a given seed replays
-	// identically.
-	Rate float64
-	// Count caps how many times the rule fires; 0 means unlimited.
-	Count int
-}
-
-// String renders the rule in schedule-spec syntax.
-func (r Rule) String() string {
-	var b strings.Builder
-	b.WriteString(r.Site.String())
-	b.WriteByte('=')
-	b.WriteString(r.Action.String())
-	if r.Action == ActionDelay || r.Action == ActionDrip {
-		b.WriteByte(':')
-		b.WriteString(r.Delay.String())
-	}
-	if r.Rate > 0 && r.Rate < 1 {
-		fmt.Fprintf(&b, "@%s", strconv.FormatFloat(r.Rate, 'g', -1, 64))
-	}
-	if r.Count > 0 {
-		fmt.Fprintf(&b, "#%d", r.Count)
-	}
-	return b.String()
-}
-
-// ruleState pairs a Rule with its mutable counters, keeping Rule itself
-// a copyable value.
-type ruleState struct {
-	Rule
-	idx    int // declaration index: part of the coin so equal rules differ
-	visits atomic.Uint64
-	fired  atomic.Int64
-}
-
-// Schedule is a seeded, replayable set of fault rules for one Proxy.
-type Schedule struct {
-	seed  uint64
-	rules []*ruleState
-}
-
-// NewSchedule builds an empty schedule with the given seed.
-func NewSchedule(seed uint64) *Schedule { return &Schedule{seed: seed} }
-
-// Seed returns the schedule's seed.
-func (s *Schedule) Seed() uint64 { return s.seed }
-
-// Add appends a rule. Rate outside (0,1] normalizes to 1 (always fire);
-// a zero Delay on delay/drip defaults to 1ms.
-func (s *Schedule) Add(r Rule) *Schedule {
-	if r.Rate <= 0 || r.Rate > 1 {
-		r.Rate = 1
-	}
-	if (r.Action == ActionDelay || r.Action == ActionDrip) && r.Delay <= 0 {
-		r.Delay = time.Millisecond
-	}
-	s.rules = append(s.rules, &ruleState{Rule: r, idx: len(s.rules)})
-	return s
-}
+// Schedule is a seeded, replayable set of fault rules for one Proxy. Seed,
+// Spec and the firing census come from the embedded engine schedule.
+type Schedule struct{ *seeded.Schedule }
 
 // ParseSchedule parses a comma-separated spec with seed. Each rule is
 // `site=action[:delay][@rate][#count]`:
@@ -194,148 +95,27 @@ func (s *Schedule) Add(r Rule) *Schedule {
 //	c2s=delay:5ms@0.2       jitter a fifth of client→server chunks by ~5ms
 //	accept=blackhole#1      swallow the first connection attempt
 //	c2s=drip:20ms@0.1       throttle 10% of chunks to a slow drip
-//
-// The grammar is the failpoint schedule grammar verbatim; only the site
-// and action vocabularies differ.
 func ParseSchedule(seed uint64, spec string) (*Schedule, error) {
-	s := NewSchedule(seed)
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return s, nil
+	eng, err := grammar.Parse(seed, spec)
+	if err != nil {
+		return nil, err
 	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		siteStr, actionStr, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("netchaos: rule %q: want site=action[:delay][@rate][#count]", part)
-		}
-		site, err := ParseSite(strings.TrimSpace(siteStr))
-		if err != nil {
-			return nil, err
-		}
-		r := Rule{Site: site, Rate: 1}
-		if head, cntStr, found := cutLast(actionStr, '#'); found {
-			n, err := strconv.Atoi(cntStr)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("netchaos: rule %q: bad count %q", part, cntStr)
-			}
-			r.Count = n
-			actionStr = head
-		}
-		actionStr = strings.TrimSpace(actionStr)
-		if head, rateStr, found := cutLast(actionStr, '@'); found {
-			rate, err := strconv.ParseFloat(rateStr, 64)
-			if err != nil || rate <= 0 || rate > 1 {
-				return nil, fmt.Errorf("netchaos: rule %q: bad rate %q (want (0,1])", part, rateStr)
-			}
-			r.Rate = rate
-			actionStr = head
-		}
-		actionStr = strings.TrimSpace(actionStr)
-		actStr, delayStr, hasDelay := strings.Cut(actionStr, ":")
-		r.Action, err = parseAction(strings.TrimSpace(actStr))
-		if err != nil {
-			return nil, fmt.Errorf("netchaos: rule %q: %v", part, err)
-		}
-		if hasDelay {
-			if r.Action != ActionDelay && r.Action != ActionDrip {
-				return nil, fmt.Errorf("netchaos: rule %q: duration only valid for delay/drip", part)
-			}
-			d, err := time.ParseDuration(strings.TrimSpace(delayStr))
-			if err != nil || d < 0 {
-				return nil, fmt.Errorf("netchaos: rule %q: bad duration %q", part, delayStr)
-			}
-			r.Delay = d
-		}
-		s.Add(r)
-	}
-	return s, nil
-}
-
-// cutLast splits s at the last occurrence of sep, trimming space from
-// both halves: the `#count` and `@rate` suffixes bind after the delay,
-// so they must be cut from the right.
-func cutLast(s string, sep byte) (before, after string, found bool) {
-	if i := strings.LastIndexByte(s, sep); i >= 0 {
-		return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:]), true
-	}
-	return strings.TrimSpace(s), "", false
-}
-
-// Spec renders the schedule back to its parseable spec string.
-func (s *Schedule) Spec() string {
-	parts := make([]string, len(s.rules))
-	for i, r := range s.rules {
-		parts[i] = r.String()
-	}
-	return strings.Join(parts, ",")
-}
-
-// Fired returns each rule's firing count keyed by its spec string.
-func (s *Schedule) Fired() map[string]int64 {
-	out := make(map[string]int64, len(s.rules))
-	for _, r := range s.rules {
-		out[r.String()] += r.fired.Load()
-	}
-	return out
-}
-
-// Faults returns firing totals aggregated by action name — the shape of
-// the salsa_netchaos_faults_total{kind} metric family.
-func (s *Schedule) Faults() map[string]int64 {
-	out := make(map[string]int64)
-	for _, r := range s.rules {
-		if n := r.fired.Load(); n > 0 {
-			out[r.Action.String()] += n
-		}
-	}
-	return out
-}
-
-// TotalFired returns the total number of rule firings so far.
-func (s *Schedule) TotalFired() int64 {
-	var n int64
-	for _, r := range s.rules {
-		n += r.fired.Load()
-	}
-	return n
+	return &Schedule{eng}, nil
 }
 
 // pick evaluates the site's rules for one visit and returns the first
 // rule that fires, with the coin that decided it (reused by reset to
-// choose the delivered prefix). Returns nil when no rule fires.
-func (s *Schedule) pick(site Site) (*ruleState, uint64) {
-	for _, r := range s.rules {
-		if r.Site != site {
+// choose the delivered prefix). Returns nil when no rule fires. The rule
+// index is part of the coin so equal rules on one site differ.
+func (s *Schedule) pick(site Site) (*seeded.Rule, uint64) {
+	for _, r := range s.Rules() {
+		if Site(r.Site) != site {
 			continue
 		}
-		visit := r.visits.Add(1) - 1
-		coin := splitmix64(s.seed ^ (uint64(site)+1)<<32 ^ (uint64(r.idx)+1)<<48 ^ visit)
-		if r.Rate < 1 && float64(coin>>11)/(1<<53) >= r.Rate {
-			continue
+		coin := seeded.Mix(s.Seed() ^ (uint64(site)+1)<<32 ^ (uint64(r.Index)+1)<<48 ^ r.Visit())
+		if r.Fire(coin) {
+			return r, coin
 		}
-		if r.Count > 0 {
-			// Reserve a firing slot; over-budget visits pass through.
-			if r.fired.Add(1) > int64(r.Count) {
-				r.fired.Add(-1)
-				continue
-			}
-		} else {
-			r.fired.Add(1)
-		}
-		return r, coin
 	}
 	return nil, 0
-}
-
-// splitmix64 is the SplitMix64 finalizer — the same replayable coin the
-// failpoint schedules use.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
