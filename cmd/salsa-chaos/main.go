@@ -5,13 +5,14 @@
 // zero-lost accounting with an explicit budget for scripted crashes.
 //
 // Every firing decision is a pure function of the seed, so a failure is
-// replayable: the FAIL line prints the base seed, the scenario and the
-// exact schedule spec; rerunning with `-run <scenario> -seed <base-seed>`
-// reproduces the same fault pattern (up to goroutine interleaving — which
-// is what the faults are there to shake out). Exit status is non-zero on
-// any failed round and the FAIL line is machine-checkable:
+// replayable: the FAIL line prints the base seed, the round seed, the exact
+// schedule spec and a ready-to-paste replay command that reproduces the
+// same fault pattern (up to goroutine interleaving — which is what the
+// faults are there to shake out). Exit status is non-zero on any failed
+// round and the FAIL line is machine-checkable (one format for every seeded
+// harness, printed by chaos.Harness — DESIGN.md "Seeded determinism"):
 //
-//	FAIL scenario=<name> round=<i> seed=<base> round-seed=<s> schedule="..." err="..."
+//	FAIL harness=chaos scenario=<name> round=<i> seed=<base> round-seed=<s> schedule="..." err="..." replay="..."
 //
 // With -cluster the binary instead runs the cluster fault matrix: two
 // real shard servers on loopback TCP with every client path routed
@@ -19,9 +20,10 @@
 // partitions, slow drips, blackholed accepts), producer failover with
 // idempotent retry, worker redial/failover, and mid-round drain/quiesce
 // handoffs — all verified with the same exactly-once ledger. Cluster
-// FAIL lines print the base seed and every proxy's schedule spec, and
-// the specs are also written to <flight-dir>/netchaos-<scenario>.txt so
-// CI uploads carry the replay recipe next to the flight dump.
+// FAIL lines (harness=cluster) print every proxy's schedule spec as
+// prod="..." work="..." handoff="...", and every FAIL line is also written
+// next to its flight dump (<flight-dir>/flight-<harness>-<scenario>-r<i>.txt)
+// so CI uploads carry the replay recipe.
 //
 // Usage:
 //
@@ -35,14 +37,10 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"strings"
-	"time"
 
 	"salsa"
 	"salsa/internal/chaos"
@@ -130,7 +128,7 @@ var clusterMatrix = []remote.ClusterScenario{
 }
 
 // runCluster executes the cluster matrix and returns the process exit code.
-func runCluster(seed int64, rounds int, tasks int, run string, list bool, flightDir string) int {
+func runCluster(h *chaos.Harness, tasks int, list bool) int {
 	if list {
 		for _, sc := range clusterMatrix {
 			fmt.Printf("%-26s quiesce=%-5v budget=%-4d prod=%q work=%q handoff=%q\n",
@@ -138,84 +136,21 @@ func runCluster(seed int64, rounds int, tasks int, run string, list bool, flight
 		}
 		return 0
 	}
-	start := time.Now()
-	ran := 0
-	for si, sc := range clusterMatrix {
-		if run != "" && !strings.Contains(sc.Name, run) {
-			continue
-		}
-		ran++
-		for round := 0; round < rounds; round++ {
-			roundSeed := seed*1_000_003 + int64(si)*10_007 + int64(round)
-			dump := ""
-			if flightDir != "" {
-				dump = filepath.Join(flightDir, fmt.Sprintf("flight-cluster-%s-r%d.bin", sc.Name, round))
-			}
-			// Coverage assertions (dedup replay seen, handoff moved tasks)
-			// depend on where the seeded fault coins land relative to real
-			// TCP chunking, which varies run to run. A round that verified
-			// exactly-once but missed its coverage window re-rolls with a
-			// derived seed; hard failures (dups, losses, timeouts) never
-			// carry ErrVacuousRound and fail on the first occurrence.
-			var res remote.ClusterResult
-			var err error
-			for attempt := 0; ; attempt++ {
-				res, err = remote.RunCluster(remote.ClusterOptions{
-					Scenario:    sc,
-					Seed:        roundSeed,
-					PerProducer: tasks,
-					FlightDump:  dump,
-				})
-				if err == nil || !errors.Is(err, remote.ErrVacuousRound) || attempt >= 2 {
-					break
-				}
-				fmt.Printf("reroll cluster-scenario=%s round=%d attempt=%d seed=%d: %v\n",
-					sc.Name, round, attempt, roundSeed, err)
-				roundSeed += 1_000_000_007
-			}
-			if err != nil {
-				fmt.Printf("FAIL cluster-scenario=%s round=%d seed=%d round-seed=%d prod=%q work=%q handoff=%q err=%q\n",
-					sc.Name, round, seed, roundSeed, sc.ProdSpec, sc.WorkSpec, sc.HandoffSpec, err.Error())
-				if flightDir != "" {
-					writeSpecArtifact(flightDir, sc, seed, roundSeed, err)
-				}
-				return 1
-			}
-			fmt.Printf("ok cluster-scenario=%s round=%d delivered=%d dups=%d lost=%d dedup-hits=%d reconnects=%d handoff=%d faults=%d\n",
-				sc.Name, round, res.Delivered, res.Dups, res.Lost, res.DedupHits, res.Reconnects, res.HandoffTasks, totalClusterFaults(res.Faults))
-		}
+	table := make([]chaos.Scenario, len(clusterMatrix))
+	for i, sc := range clusterMatrix {
+		table[i] = chaos.Scenario{Name: sc.Name, Specs: []chaos.Spec{
+			{Name: "prod", Text: sc.ProdSpec}, {Name: "work", Text: sc.WorkSpec}, {Name: "handoff", Text: sc.HandoffSpec}}}
 	}
-	if run != "" && ran == 0 {
-		fmt.Fprintf(os.Stderr, "salsa-chaos: no cluster scenario matches -run %q\n", run)
-		return 2
-	}
-	fmt.Printf("\nPASS: %d cluster scenarios x %d rounds, %v elapsed\n",
-		ran, rounds, time.Since(start).Round(time.Millisecond))
-	return 0
-}
-
-// writeSpecArtifact records the failing round's replay recipe next to
-// the flight dump, so a CI artifact is self-contained.
-func writeSpecArtifact(dir string, sc remote.ClusterScenario, seed, roundSeed int64, ferr error) {
-	os.MkdirAll(dir, 0o755)
-	body := fmt.Sprintf("scenario: %s\nbase-seed: %d\nround-seed: %d\nprod-spec: %s\nwork-spec: %s\nhandoff-spec: %s\nerr: %s\nreplay: salsa-chaos -cluster -run %s -seed %d\n",
-		sc.Name, seed, roundSeed, sc.ProdSpec, sc.WorkSpec, sc.HandoffSpec, ferr.Error(), sc.Name, seed)
-	path := filepath.Join(dir, fmt.Sprintf("netchaos-%s.txt", sc.Name))
-	if werr := os.WriteFile(path, []byte(body), 0o644); werr != nil {
-		fmt.Fprintf(os.Stderr, "salsa-chaos: spec artifact %s: %v\n", path, werr)
-	} else {
-		fmt.Printf("netchaos spec artifact: %s\n", path)
-	}
-}
-
-func totalClusterFaults(m map[string]map[string]int64) int64 {
-	var n int64
-	for _, actions := range m {
-		for _, v := range actions {
-			n += v
-		}
-	}
-	return n
+	return h.Run(table, func(c *chaos.Cell) (string, error) {
+		res, err := remote.RunCluster(remote.ClusterOptions{
+			Scenario:    clusterMatrix[c.Index],
+			Seed:        c.Seed,
+			PerProducer: tasks,
+			FlightDump:  c.FlightDump,
+		})
+		return fmt.Sprintf("delivered=%d dups=%d lost=%d dedup-hits=%d reconnects=%d handoff=%d faults=%d",
+			res.Delivered, res.Dups, res.Lost, res.DedupHits, res.Reconnects, res.HandoffTasks, res.TotalFaults), err
+	})
 }
 
 func main() {
@@ -234,12 +169,20 @@ func main() {
 	)
 	flag.Parse()
 
+	name, cmd := "chaos", "go run ./cmd/salsa-chaos"
+	if *cluster {
+		name, cmd = "cluster", cmd+" -cluster"
+	}
+	h := &chaos.Harness{Name: name, Seed: *seed, Rounds: *rounds, Filter: *run, FlightDir: *flightDir,
+		Replay: func(c *chaos.Cell) string {
+			return fmt.Sprintf("%s -run %s -seed %d -rounds %d", cmd, c.Name, *seed, c.Round+1)
+		}}
 	if *cluster {
 		ctasks := *tasks
 		if ctasks == 20000 { // the pool-matrix default is too heavy for a TCP round under -race
 			ctasks = 2500
 		}
-		os.Exit(runCluster(*seed, *rounds, ctasks, *run, *list, *flightDir))
+		os.Exit(runCluster(h, ctasks, *list))
 	}
 
 	if *list {
@@ -248,74 +191,30 @@ func main() {
 		}
 		return
 	}
-
-	start := time.Now()
-	ranScenarios, failed := 0, 0
-	for si, sc := range matrix {
-		if *run != "" && !strings.Contains(sc.name, *run) {
-			continue
+	table := make([]chaos.Scenario, len(matrix))
+	for i, sc := range matrix {
+		table[i] = chaos.Scenario{Name: sc.name, Specs: []chaos.Spec{{Name: "schedule", Text: sc.spec}}}
+	}
+	os.Exit(h.Run(table, func(c *chaos.Cell) (string, error) {
+		sc := matrix[c.Index]
+		sched, err := failpoint.ParseSchedule(uint64(c.Seed), sc.spec)
+		if err != nil {
+			return "", err
 		}
-		ranScenarios++
-		for round := 0; round < *rounds; round++ {
-			// Deterministic per-(scenario,round) seed from the base seed.
-			roundSeed := *seed*1_000_003 + int64(si)*10_007 + int64(round)
-			sched, err := failpoint.ParseSchedule(uint64(roundSeed), sc.spec)
-			if err != nil {
-				fmt.Printf("FAIL scenario=%s round=%d seed=%d round-seed=%d schedule=%q err=%q\n",
-					sc.name, round, *seed, roundSeed, sc.spec, err.Error())
-				os.Exit(1)
-			}
-			rng := rand.New(rand.NewSource(roundSeed))
-			stalled := map[int]bool{}
-			for ci := 0; ci < *consumers; ci++ {
-				if rng.Float64() < *stall && len(stalled) < *consumers-1 {
-					stalled[ci] = true
-				}
-			}
-			dump := ""
-			if *flightDir != "" {
-				dump = filepath.Join(*flightDir,
-					fmt.Sprintf("flight-chaos-%s-r%d.bin", sc.name, round))
-			}
-			res, err := chaos.RunRound(chaos.Options{
-				Algorithm:        salsa.SALSA,
-				Producers:        *producers,
-				Consumers:        *consumers,
-				TasksPerProducer: *tasks,
-				ChunkSize:        *chunk,
-				Batch:            sc.batch,
-				Churn:            sc.churn,
-				Seed:             roundSeed,
-				Stalled:          stalled,
-				Schedule:         sched,
-				FlightDump:       dump,
-			})
-			if err != nil {
-				// err already carries the dump path and a timeline excerpt
-				// when the flight recorder is compiled in; salsa-doctor
-				// reads the full dump.
-				fmt.Printf("FAIL scenario=%s round=%d seed=%d round-seed=%d schedule=%q err=%q\n",
-					sc.name, round, *seed, roundSeed, sc.spec, err.Error())
-				os.Exit(1)
-			}
-			fmt.Printf("ok scenario=%s round=%d steals=%d kills=%d lost=%d churn=%d fired=%d\n",
-				sc.name, round, res.Steals, res.Kills, res.Lost, res.ChurnCycles, totalFired(res.Fired))
-			failpoint.Reset() // belt and braces between rounds
-		}
-	}
-	if *run != "" && ranScenarios == 0 {
-		fmt.Fprintf(os.Stderr, "salsa-chaos: no scenario matches -run %q\n", *run)
-		os.Exit(2)
-	}
-	_ = failed
-	fmt.Printf("\nPASS: %d scenarios x %d rounds, %v elapsed\n",
-		ranScenarios, *rounds, time.Since(start).Round(time.Millisecond))
-}
-
-func totalFired(m map[string]int64) int64 {
-	var n int64
-	for _, v := range m {
-		n += v
-	}
-	return n
+		res, err := chaos.RunRound(chaos.Options{
+			Algorithm:        salsa.SALSA,
+			Producers:        *producers,
+			Consumers:        *consumers,
+			TasksPerProducer: *tasks,
+			ChunkSize:        *chunk,
+			Batch:            sc.batch,
+			Churn:            sc.churn,
+			Seed:             c.Seed,
+			Stalled:          chaos.StallSet(rand.New(rand.NewSource(c.Seed)), *consumers, *stall),
+			Schedule:         sched,
+			FlightDump:       c.FlightDump,
+		})
+		return fmt.Sprintf("steals=%d kills=%d lost=%d churn=%d fired=%d",
+			res.Steals, res.Kills, res.Lost, res.ChurnCycles, sched.TotalFired()), err
+	}))
 }

@@ -9,9 +9,10 @@
 // The arrival schedule is a pure function of (scenario, seed): a FAIL line
 // prints the scenario seed and a one-line replay invocation, and rerunning
 // it rebuilds the byte-identical schedule (verify with -print-schedule).
-// FAIL lines are machine-checkable:
+// FAIL lines are machine-checkable (the shared chaos.Harness format; the
+// scenario seed is round-seed, err names the flight dump it left):
 //
-//	FAIL scenario=<name> seed=<base> scenario-seed=<s> err="..." replay="..."
+//	FAIL harness=loadgen scenario=<name> round=0 seed=<base> round-seed=<s> err="..." replay="..."
 //
 // Usage:
 //
@@ -28,8 +29,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
+	"salsa/internal/chaos"
 	"salsa/internal/loadgen"
 )
 
@@ -53,6 +54,31 @@ func main() {
 		return
 	}
 
+	h := &chaos.Harness{Name: "loadgen", Seed: *seed, Rounds: 1, Filter: *run, FlightDir: *flightDir, KeepGoing: true,
+		Replay: func(c *chaos.Cell) string {
+			return fmt.Sprintf("go run ./cmd/salsa-loadgen -scenario %s -seed %d", c.Name, c.Seed)
+		}}
+	var rows []string
+	runCell := func(c *chaos.Cell) (string, error) {
+		sc, err := loadgen.ByName(c.Name)
+		if err != nil {
+			return "", err
+		}
+		// Dumps are named by scenario seed, not round: replay mode reuses
+		// round 0 under any seed.
+		c.FlightDump = chaos.FlightPath(*flightDir, h.Name, c.Name, fmt.Sprintf("seed%d", c.Seed))
+		res := loadgen.Run(sc, uint64(c.Seed), loadgen.Options{FlightDump: c.FlightDump})
+		verdict := "ok"
+		if res.Verdict != nil {
+			verdict = res.Verdict.Error()
+		}
+		rows = append(rows, fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%q",
+			res.Scenario, res.Seed, res.Offered, res.Delivered, res.Shed, res.Late,
+			res.QueueAdmits, res.Latency.P50().Nanoseconds(), res.Latency.P99().Nanoseconds(),
+			res.Latency.P999().Nanoseconds(), res.Elapsed.Milliseconds(), verdict))
+		return res.Summary(), res.Verdict
+	}
+
 	// Replay mode: one scenario, the seed used verbatim.
 	if *one != "" {
 		sc, err := loadgen.ByName(*one)
@@ -64,11 +90,7 @@ func main() {
 			os.Stdout.Write(loadgen.BuildSchedule(sc, uint64(*seed)).Log())
 			return
 		}
-		res := loadgen.Run(sc, uint64(*seed), loadgen.Options{FlightDir: *flightDir})
-		fmt.Println(res.Report())
-		if res.Verdict != nil {
-			fmt.Printf("FAIL scenario=%s seed=%d scenario-seed=%d err=%q replay=%q\n",
-				sc.Name, *seed, *seed, res.Verdict.Error(), res.ReplayInvocation())
+		if !h.Do(h.Cell(chaos.Scenario{Name: sc.Name}, 0, 0, *seed), runCell) {
 			os.Exit(1)
 		}
 		return
@@ -78,45 +100,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	start := time.Now()
-	var rows []string
-	ran, failed := 0, 0
-	for si, sc := range loadgen.Matrix() {
-		if *run != "" && !strings.Contains(sc.Name, *run) {
-			continue
-		}
-		ran++
-		// Deterministic per-scenario seed from the base seed, the same
-		// derivation discipline as salsa-chaos round seeds.
-		scSeed := uint64(*seed*1_000_003 + int64(si)*10_007)
-		res := loadgen.Run(sc, scSeed, loadgen.Options{FlightDir: *flightDir})
-		fmt.Println(res.Report())
-		if res.Verdict != nil {
-			failed++
-			fmt.Printf("FAIL scenario=%s seed=%d scenario-seed=%d err=%q replay=%q\n",
-				sc.Name, *seed, scSeed, res.Verdict.Error(), res.ReplayInvocation())
-		}
-		verdict := "ok"
-		if res.Verdict != nil {
-			verdict = res.Verdict.Error()
-		}
-		rows = append(rows, fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%q",
-			res.Scenario, res.Seed, res.Offered, res.Delivered, res.Shed, res.Late,
-			res.QueueAdmits, res.Latency.P50().Nanoseconds(), res.Latency.P99().Nanoseconds(),
-			res.Latency.P999().Nanoseconds(), res.Elapsed.Milliseconds(), verdict))
+	// Matrix mode: per-scenario seeds derive from the base seed exactly as
+	// salsa-chaos round seeds do (chaos.RoundSeed, round 0).
+	var table []chaos.Scenario
+	for _, sc := range loadgen.Matrix() {
+		table = append(table, chaos.Scenario{Name: sc.Name})
 	}
-	if *run != "" && ran == 0 {
-		fmt.Fprintf(os.Stderr, "salsa-loadgen: no scenario matches -run %q\n", *run)
-		os.Exit(2)
-	}
-	if *csvPath != "" {
+	code := h.Run(table, runCell)
+	if *csvPath != "" && code != 2 {
 		writeCSV(*csvPath, rows)
 	}
-	if failed > 0 {
-		fmt.Printf("\nFAIL: %d of %d scenarios, %v elapsed\n", failed, ran, time.Since(start).Round(time.Millisecond))
-		os.Exit(1)
-	}
-	fmt.Printf("\nPASS: %d scenarios, %v elapsed\n", ran, time.Since(start).Round(time.Millisecond))
+	os.Exit(code)
 }
 
 func writeCSV(path string, rows []string) {

@@ -40,10 +40,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
+	"salsa/internal/chaos"
 	"salsa/internal/flight"
 	"salsa/internal/remote"
 	"salsa/internal/telemetry"
@@ -72,20 +72,15 @@ func main() {
 	log.SetPrefix("salsa-server: ")
 
 	if *smoke {
-		dump := filepath.Join("results", "flight-serve-smoke.bin")
-		if err := os.MkdirAll("results", 0o755); err != nil {
-			dump = "" // dump is best-effort; the gate itself still runs
-		}
-		err := remote.RunSmoke(remote.SmokeOptions{
-			Tasks:      *smokeTasks,
-			FlightDump: dump,
-			Logf:       log.Printf,
-		})
-		if err != nil {
-			log.Printf("FAIL: %v", err)
-			os.Exit(1)
-		}
-		return
+		h := &chaos.Harness{Name: "serve-smoke", Rounds: 1, FlightDir: "results",
+			Replay: func(*chaos.Cell) string { return "go run ./cmd/salsa-server -smoke" }}
+		os.Exit(h.Run([]chaos.Scenario{{}}, func(c *chaos.Cell) (string, error) {
+			return "", remote.RunSmoke(remote.SmokeOptions{
+				Tasks:      *smokeTasks,
+				FlightDump: c.FlightDump,
+				Logf:       log.Printf,
+			})
+		}))
 	}
 
 	if *quiesce {

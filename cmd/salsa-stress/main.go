@@ -36,9 +36,10 @@
 // (see cmd/salsa-chaos for scripted kill scenarios). -chaos-seed seeds the
 // schedule's deterministic firing decisions independently of -seed.
 //
-// A failing round prints a machine-checkable line to stdout and exits 1:
+// A failing round prints a machine-checkable line to stdout and exits 1
+// (the shared chaos.Harness format; round-seed is that round's chaos seed):
 //
-//	FAIL round=<i> seed=<n> chaos-seed=<n> schedule="..." err="..."
+//	FAIL harness=stress round=<i> seed=<n> round-seed=<n> schedule="..." err="..." replay="..."
 //
 // With -metrics-addr the process serves /metrics (Prometheus text format)
 // and /metrics.json for the pool of the round currently running — a live
@@ -52,9 +53,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"salsa"
 	"salsa/internal/chaos"
@@ -135,6 +134,10 @@ func main() {
 		}
 		spec = fmt.Sprintf(defaultFaultMix, *failRate, *failRate, *failRate, *failRate)
 	}
+	if _, err := failpoint.ParseSchedule(0, spec); err != nil {
+		fmt.Fprintf(os.Stderr, "salsa-stress: bad schedule: %v\n", err)
+		os.Exit(2)
+	}
 	if spec != "" && alg != salsa.SALSA && alg != salsa.SALSACAS {
 		// Failpoint sites live in the chunk-based substrates; other
 		// algorithms would silently run fault-free.
@@ -172,27 +175,19 @@ func main() {
 		defer stop()
 	}
 
-	start := time.Now()
-	var totalTasks, totalSteals, totalFired int64
-	for round := 0; round < *rounds; round++ {
-		stalled := map[int]bool{}
-		for ci := 0; ci < *consumers; ci++ {
-			if rng.Float64() < *stall && len(stalled) < *consumers-1 {
-				stalled[ci] = true
-			}
-		}
-		var sched *failpoint.Schedule
-		roundChaosSeed := uint64(*chaosSeed) + uint64(round)
-		if spec != "" {
-			sched, err = failpoint.ParseSchedule(roundChaosSeed, spec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "salsa-stress: bad schedule: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		dump := ""
-		if *flightDir != "" {
-			dump = filepath.Join(*flightDir, fmt.Sprintf("flight-stress-r%d.bin", round))
+	// One unnamed scenario: -seed drives the stall and churn draws through
+	// one math/rand stream across rounds, and round i's fault schedule runs
+	// under chaos-seed+i (reported as the cell's round-seed), so a FAIL
+	// replays by re-running the same command line.
+	h := &chaos.Harness{Name: "stress", Seed: *seed, Rounds: *rounds, FlightDir: *flightDir,
+		Replay: func(*chaos.Cell) string { return "go run ./cmd/salsa-stress " + strings.Join(os.Args[1:], " ") }}
+	var totalSteals, totalFired int64
+	code := h.Run([]chaos.Scenario{{Specs: []chaos.Spec{{Name: "schedule", Text: spec}}}}, func(c *chaos.Cell) (string, error) {
+		stalled := chaos.StallSet(rng, *consumers, *stall)
+		c.Seed = *chaosSeed + int64(c.Round)
+		sched, err := failpoint.ParseSchedule(uint64(c.Seed), spec)
+		if err != nil {
+			return "", err
 		}
 		res, err := chaos.RunRound(chaos.Options{
 			Algorithm:        alg,
@@ -208,26 +203,19 @@ func main() {
 			Metrics:          obsMetrics,
 			Tracer:           tracer,
 			Live:             live,
-			FlightDump:       dump,
+			FlightDump:       c.FlightDump,
 			FlightAlways:     *flightAlways,
 		})
-		if err != nil {
-			fmt.Printf("FAIL round=%d seed=%d chaos-seed=%d schedule=%q err=%q\n",
-				round, *seed, roundChaosSeed, spec, err.Error())
-			os.Exit(1)
-		}
-		totalTasks += int64(*producers) * int64(*tasks)
 		totalSteals += res.Steals
-		var firedN int64
-		for _, v := range res.Fired {
-			firedN += v
-		}
-		totalFired += firedN
-		fmt.Printf("round %2d ok: %d tasks, %d chunk steals, %d churn cycles, %d faults fired, stalled consumers %v\n",
-			round, *producers**tasks, res.Steals, res.ChurnCycles, firedN, keys(stalled))
+		totalFired += sched.TotalFired()
+		return fmt.Sprintf("tasks=%d steals=%d churn=%d fired=%d stalled=%v",
+			*producers**tasks, res.Steals, res.ChurnCycles, sched.TotalFired(), keys(stalled)), err
+	})
+	if code != 0 {
+		os.Exit(code)
 	}
-	fmt.Printf("\nPASS: %s, %d rounds, %d tasks total, %d steals, %d faults fired, %v elapsed\n",
-		alg, *rounds, totalTasks, totalSteals, totalFired, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("%s: %d tasks total, %d steals, %d faults fired\n",
+		alg, int64(*rounds)*int64(*producers)*int64(*tasks), totalSteals, totalFired)
 }
 
 func keys(m map[int]bool) []int {

@@ -83,6 +83,9 @@ func TestTelemetrySnapshotCountsTaskPanics(t *testing.T) {
 // fails, so TrySubmit must surface salsa.ErrSaturated instead of silently
 // force-expanding like Submit does.
 func TestTrySubmitSaturation(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	e, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +112,9 @@ func TestTrySubmitSaturation(t *testing.T) {
 }
 
 func TestSubmitContextCancellation(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	e, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +147,9 @@ func TestSubmitContextCancellation(t *testing.T) {
 // (the caller keeps every task); with pressure lifted the run is accepted
 // whole and executes.
 func TestTrySubmitBatchSaturation(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	e, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

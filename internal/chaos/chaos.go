@@ -25,7 +25,6 @@ import (
 
 	"salsa"
 	"salsa/internal/failpoint"
-	"salsa/internal/flight"
 	"salsa/internal/telemetry"
 )
 
@@ -98,8 +97,6 @@ type Result struct {
 	ChurnCycles int64
 	Kills       int64
 	Lost        int64
-	// Fired maps rule spec → firing count for the round's schedule.
-	Fired map[string]int64
 }
 
 // killBudget bounds how many consumers a schedule may crash in one round:
@@ -142,31 +139,9 @@ func RunRound(o Options) (Result, error) {
 	maxConsumers += kb + 2
 
 	// Flight recorder: armed for the whole round, sized for every consumer
-	// id the round can ever mint. fail() snapshots the rings into the dump
-	// file and folds a timeline excerpt into the verdict; pass() only
-	// writes when the caller asked for an unconditional dump.
-	fail := func(err error) error { return err }
-	pass := func() {}
-	if o.FlightDump != "" && flight.Compiled {
-		flight.Enable(flight.Options{
-			Consumers: maxConsumers,
-			Producers: o.Producers,
-			RingSize:  flight.DefaultRingSize,
-		})
-		defer flight.Reset()
-		fail = func(err error) error {
-			d, werr := flight.CaptureToFile(o.FlightDump, "chaos-fail", err.Error(), true)
-			if werr != nil {
-				return fmt.Errorf("%w (flight dump %s failed: %v)", err, o.FlightDump, werr)
-			}
-			return fmt.Errorf("%w\nflight dump: %s\n%s", err, o.FlightDump, flight.Excerpt(d, 40))
-		}
-		pass = func() {
-			if o.FlightAlways {
-				flight.CaptureToFile(o.FlightDump, "chaos-pass", "round passed", false)
-			}
-		}
-	}
+	// id the round can ever mint.
+	fl := ArmFlight(o.FlightDump, "chaos", maxConsumers, o.Producers)
+	defer fl.Disarm()
 
 	pool, err := salsa.New[Task](salsa.Config{
 		Algorithm:    o.Algorithm,
@@ -411,14 +386,13 @@ func RunRound(o Options) (Result, error) {
 	cwg.Wait()
 	if o.Schedule != nil {
 		o.Schedule.Disarm()
-		res.Fired = o.Schedule.Fired()
 	}
 	res.Kills = kills.Load()
 	res.ChurnCycles = churnCycles.Load()
 	res.Steals = pool.Stats().Steals
 
 	if e := churnErr.Load(); e != nil {
-		return res, fail(*e)
+		return res, fl.Fail(*e)
 	}
 	// Loss budget: a consumer crashed mid-Get forfeits at most its one
 	// announced slot, and a scripted post-announce failure forfeits the
@@ -433,8 +407,10 @@ func RunRound(o Options) (Result, error) {
 	}
 	res.Lost = ledger.Lost()
 	if err := ledger.Verify(budget); err != nil {
-		return res, fail(err)
+		return res, fl.Fail(err)
 	}
-	pass()
+	if o.FlightAlways {
+		fl.Pass()
+	}
 	return res, nil
 }

@@ -20,6 +20,9 @@ import (
 // rescue reverted this test fails: the survivor's drain loop exhausts its
 // iteration bound with the stranded chunk's tasks unreachable.
 func TestFailpointKillMidStealStrandedChunkRescued(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	const chunkSize, total = 4, 29
 	s := newFamily(t, chunkSize, 3)
 	victim := mkPool(t, s, 0, 1)
@@ -114,6 +117,9 @@ func TestFailpointKillMidStealStrandedChunkRescued(t *testing.T) {
 // the announce (line 90): nothing was claimed, so the crash forfeits
 // nothing — a survivor recovers every task exactly once.
 func TestFailpointKillBeforeAnnounceIsLossFree(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	const chunkSize, total, ownerTakes = 4, 23, 5
 	s := newFamily(t, chunkSize, 2)
 	owner := mkPool(t, s, 0, 1)
@@ -157,6 +163,9 @@ func TestFailpointKillBeforeAnnounceIsLossFree(t *testing.T) {
 // loses exactly one task per firing — no more (nothing else may vanish) and
 // no fewer (an announced slot is unrecoverable by design).
 func TestFailpointKillAfterAnnounceForfeitsExactlyAnnouncedSlots(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	const chunkSize, total, ownerTakes = 4, 23, 5
 	s := newFamily(t, chunkSize, 2)
 	owner := mkPool(t, s, 0, 1)

@@ -20,6 +20,9 @@ import (
 // the dead thief's id — and then certify a linearizable empty that spans
 // the abandoned pool.
 func TestFailpointKillConsumerMidStealExactlyOnce(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	const total = 90
 	fw := newElasticFW(t, 1, 3, 3, 4)
 	pr := fw.Producer(0)
@@ -112,6 +115,9 @@ func TestFailpointKillConsumerMidStealExactlyOnce(t *testing.T) {
 // the one announced slot is forfeit (the paper's crash model); everything
 // else must surface exactly once at the survivor.
 func TestFailpointKillConsumerMidConsumeLosesOnlyAnnouncedSlot(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("failpoints compiled out (salsa_nofailpoint)")
+	}
 	const total = 60
 	fw := newElasticFW(t, 1, 2, 2, 4)
 	pr := fw.Producer(0)

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"salsa/executor"
 	"salsa/internal/backoff"
 	"salsa/internal/chaos"
-	"salsa/internal/flight"
 	"salsa/internal/stats"
 )
 
@@ -59,9 +57,10 @@ func spin(n int32) {
 
 // Options tunes a Run.
 type Options struct {
-	// FlightDir, when non-empty, arms the flight recorder for the run
-	// and captures a dump into the directory if the verdict fails.
-	FlightDir string
+	// FlightDump, when non-empty, arms the flight recorder for the run; a
+	// failed verdict then names the dump it wrote to this path and carries
+	// a timeline excerpt.
+	FlightDump string
 	// DrainTimeout bounds the post-horizon drain; defaults to 10s. A
 	// run that cannot account for every task within it fails with a
 	// drain-timeout verdict (the ledger then names the loss).
@@ -101,15 +100,11 @@ type Result struct {
 	Telemetry salsa.TelemetrySnapshot
 }
 
-// Report renders the one-line verdict + latency summary the soak matrix
-// prints per scenario.
-func (r *Result) Report() string {
-	status := "ok  "
-	if r.Verdict != nil {
-		status = "FAIL"
-	}
-	return fmt.Sprintf("%s scenario=%s seed=%d offered=%d delivered=%d shed=%d late=%d p50=%v p99=%v p999=%v elapsed=%v",
-		status, r.Scenario, r.Seed, r.Offered, r.Delivered, r.Shed, r.Late,
+// Summary renders the accounting + latency fields the soak matrix prints on
+// each scenario's verdict line.
+func (r *Result) Summary() string {
+	return fmt.Sprintf("seed=%d offered=%d delivered=%d shed=%d late=%d p50=%v p99=%v p999=%v elapsed=%v",
+		r.Seed, r.Offered, r.Delivered, r.Shed, r.Late,
 		r.Latency.P50(), r.Latency.P99(), r.Latency.P999(), r.Elapsed.Round(time.Millisecond))
 }
 
@@ -159,14 +154,8 @@ func Run(sc Scenario, seed uint64, opts Options) *Result {
 		Seed:     seed,
 		Offered:  len(sched.Arrivals),
 	}
-	if opts.FlightDir != "" && flight.Compiled {
-		flight.Enable(flight.Options{
-			Consumers: sc.Consumers,
-			Producers: sc.Producers,
-			RingSize:  flight.DefaultRingSize,
-		})
-		defer flight.Reset()
-	}
+	fl := chaos.ArmFlight(opts.FlightDump, "loadgen", sc.Consumers, sc.Producers)
+	defer fl.Disarm()
 
 	ledger := chaos.NewLedger(1, max(len(sched.Arrivals), 1))
 	var delivered, shed, late atomic.Int64
@@ -201,7 +190,7 @@ func Run(sc Scenario, seed uint64, opts Options) *Result {
 			verdict = fmt.Errorf("accounting: %w", err)
 		}
 	}
-	res.Verdict = verdict
+	res.Verdict = fl.Fail(verdict)
 
 	// salsa_loadgen_* families: offered per class, and the generator's
 	// lateness signal.
@@ -211,11 +200,6 @@ func Run(sc Scenario, seed uint64, opts Options) *Result {
 	}
 	snap.LoadgenLateArrivals = res.Late
 	res.Telemetry = snap
-
-	if res.Verdict != nil && opts.FlightDir != "" && flight.Compiled {
-		path := filepath.Join(opts.FlightDir, fmt.Sprintf("loadgen-%s-seed%d.json", sc.Name, seed))
-		_, _ = flight.CaptureToFile(path, "loadgen-fail", res.Verdict.Error(), true)
-	}
 	return res
 }
 
@@ -382,11 +366,4 @@ func runExecutor(sc Scenario, sched *Schedule, ledger *chaos.Ledger, hist *locke
 		verdict = fmt.Errorf("drain timeout after %v", opts.DrainTimeout)
 	}
 	return snap, counters, verdict
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,10 +1,13 @@
 package loadgen
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"salsa"
+	"salsa/internal/flight"
 )
 
 // TestRunSteady: a small undersubscribed run delivers everything with an
@@ -81,6 +84,39 @@ func TestRunExecutorPath(t *testing.T) {
 	}
 	if r.Admits["high"] == 0 || r.Admits["low"] == 0 {
 		t.Fatalf("both classes should admit: %v", r.Admits)
+	}
+}
+
+// TestRunFailNamesItsFlightDump forces a verdict failure (a loss budget of
+// -1 rejects even a perfect round) and checks the black box: the verdict
+// names the dump path it was given and the file opens as a flight dump.
+// Run used to write the binary dump to loadgen-<scenario>-seed<N>.json,
+// drop the write error and never mention the path.
+func TestRunFailNamesItsFlightDump(t *testing.T) {
+	if !flight.Compiled {
+		t.Skip("flight recorder compiled out (salsa_noflight)")
+	}
+	sc := Scenario{
+		Name: "test-forced-fail", Producers: 2, Consumers: 2,
+		Horizon:    20 * time.Millisecond,
+		Shape:      Shape{Kind: Poisson, Rate: 20_000},
+		SizeMin:    32,
+		LossBudget: -1,
+	}
+	dump := filepath.Join(t.TempDir(), "flight-loadgen-test-forced-fail-seed5.bin")
+	r := Run(sc, 5, Options{FlightDump: dump})
+	if r.Verdict == nil || !strings.Contains(r.Verdict.Error(), "exceeds crash budget -1") {
+		t.Fatalf("verdict = %v, want the forced accounting failure", r.Verdict)
+	}
+	if !strings.Contains(r.Verdict.Error(), "flight dump: "+dump+"\n") {
+		t.Fatalf("verdict does not name its dump %s:\n%v", dump, r.Verdict)
+	}
+	d, err := flight.ReadDumpFile(dump)
+	if err != nil {
+		t.Fatalf("ReadDumpFile(%s): %v", dump, err)
+	}
+	if d.Meta.Reason != "loadgen-fail" || len(d.Rings) == 0 {
+		t.Fatalf("dump reason %q with %d rings", d.Meta.Reason, len(d.Rings))
 	}
 }
 

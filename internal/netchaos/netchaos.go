@@ -74,6 +74,9 @@ func (p *Proxy) Spec() string { return p.sched.Spec() }
 // salsa_netchaos_faults_total{kind} metric family.
 func (p *Proxy) Faults() map[string]int64 { return p.sched.FiredByAction() }
 
+// TotalFaults returns how many faults the proxy has injected.
+func (p *Proxy) TotalFaults() int64 { return p.sched.TotalFired() }
+
 // Close stops accepting, severs every proxied connection, and waits for
 // the forwarding goroutines to unwind.
 func (p *Proxy) Close() error {

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"salsa/internal/backoff"
 	"salsa/internal/chaos"
-	"salsa/internal/flight"
 	"salsa/internal/netchaos"
 )
 
@@ -52,17 +50,6 @@ type ClusterScenario struct {
 	AssertHandoff bool
 }
 
-// ErrVacuousRound marks a round whose exactly-once verdict held but
-// whose coverage assertion (AssertDedup / AssertHandoff) was never
-// exercised: the seeded fault schedule happened to miss the window it
-// aims at. Fault coins are deterministic per (seed, site, rule, visit),
-// but visit counts depend on real TCP chunking and goroutine timing, so
-// whether a reset lands on a committed ACK varies run to run. Callers
-// should re-roll the seed a bounded number of times rather than fail —
-// a genuine dedup or handoff regression surfaces as duplicates, losses,
-// or a timeout, which are hard failures and never carry this sentinel.
-var ErrVacuousRound = errors.New("fault schedule missed its target window")
-
 // ClusterOptions configures RunCluster.
 type ClusterOptions struct {
 	Scenario ClusterScenario
@@ -97,8 +84,9 @@ type ClusterResult struct {
 	// Quiesced reports a successful handoff; Moved is its task count.
 	Quiesced bool
 	Moved    int64
-	// Faults maps proxy name -> action -> fired count.
-	Faults map[string]map[string]int64
+	// Faults maps proxy name -> action -> fired count; TotalFaults sums it.
+	Faults      map[string]map[string]int64
+	TotalFaults int64
 	// Specs maps proxy name -> the schedule spec it ran (replay artifact).
 	Specs map[string]string
 }
@@ -139,28 +127,16 @@ func RunCluster(o ClusterOptions) (ClusterResult, error) {
 	sc := o.Scenario
 	var res ClusterResult
 
-	fail := func(err error) (ClusterResult, error) { return res, err }
 	// Both shards share the process-global flight recorder, so each gets
 	// a disjoint actor-id range: shard i records as ids
 	// [i*flightStride, i*flightStride+258) — per-actor rings stay
 	// single-writer. One stride covers the larger of the two handle
 	// kinds (House+MaxWorkers+1 = 258 consumers vs Lanes+1 = 5
-	// producers).
+	// producers), so shard 1's producer range ends at stride+5.
 	const flightStride = 1 + 256 + 1
-	if o.FlightDump != "" && flight.Compiled {
-		flight.Enable(flight.Options{
-			Consumers: 2 * flightStride,
-			Producers: flightStride + 5, // shard 1's producer range ends at stride+Lanes+1
-			RingSize:  flight.DefaultRingSize,
-		})
-		defer flight.Reset()
-		fail = func(err error) (ClusterResult, error) {
-			if _, werr := flight.CaptureToFile(o.FlightDump, "cluster-chaos-fail", err.Error(), true); werr != nil {
-				return res, fmt.Errorf("%w (flight dump %s failed: %v)", err, o.FlightDump, werr)
-			}
-			return res, fmt.Errorf("%w\nflight dump: %s", err, o.FlightDump)
-		}
-	}
+	fl := chaos.ArmFlight(o.FlightDump, "cluster", 2*flightStride, flightStride+5)
+	defer fl.Disarm()
+	fail := func(err error) (ClusterResult, error) { return res, fl.Fail(err) }
 
 	// Two shards. Worker budgets are lifetime (redials burn them), so
 	// they are sized for heavy churn, and the lease is short so a
@@ -222,6 +198,7 @@ func RunCluster(o ClusterOptions) (ClusterResult, error) {
 	defer func() {
 		for name, p := range proxies {
 			res.Faults[name] = p.Faults()
+			res.TotalFaults += p.TotalFaults()
 			p.Close()
 		}
 	}()
@@ -287,17 +264,10 @@ func RunCluster(o ClusterOptions) (ClusterResult, error) {
 					}
 					break // redial (possibly on the other shard)
 				}
-				for _, b := range bodies {
-					if len(b) != 8 {
-						errs <- fmt.Errorf("cluster: worker %d: task body of %d bytes", wi, len(b))
-						halt()
-						return
-					}
-					if rerr := ledger.Record(int(binary.BigEndian.Uint32(b)), int(binary.BigEndian.Uint32(b[4:]))); rerr != nil {
-						errs <- rerr
-						halt()
-						return
-					}
+				if rerr := recordBodies(ledger, bodies); rerr != nil {
+					errs <- fmt.Errorf("cluster: worker %d: %w", wi, rerr)
+					halt()
+					return
 				}
 			}
 			w.Close()
@@ -336,23 +306,9 @@ func RunCluster(o ClusterOptions) (ClusterResult, error) {
 				return
 			}
 			defer pr.Close()
-			body := func(seq int) []byte {
-				b := make([]byte, 8)
-				binary.BigEndian.PutUint32(b, uint32(pi))
-				binary.BigEndian.PutUint32(b[4:], uint32(seq))
-				return b
-			}
-			run := make([][]byte, 0, o.Batch)
-			for seq := 0; seq < o.PerProducer; seq++ {
-				run = append(run, body(seq))
-				if len(run) == o.Batch || seq == o.PerProducer-1 {
-					if err := pr.Produce(ctx, run); err != nil {
-						errs <- fmt.Errorf("cluster: producer %d: %w", pi, err)
-						halt()
-						return
-					}
-					run = run[:0]
-				}
+			if err := produceLedger(ctx, pr, pi, o.PerProducer, o.Batch); err != nil {
+				errs <- fmt.Errorf("cluster: producer %d: %w", pi, err)
+				halt()
 			}
 		}(pi)
 	}
@@ -392,7 +348,7 @@ func RunCluster(o ClusterOptions) (ClusterResult, error) {
 				o.Logf("cluster: quiesce attempt %d: %v", attempt, qerr)
 			}
 			if qerr != nil && sc.AssertHandoff {
-				errs <- fmt.Errorf("cluster: quiesce never succeeded (%v): %w", qerr, ErrVacuousRound)
+				errs <- fmt.Errorf("cluster: quiesce never succeeded (%v): %w", qerr, chaos.ErrVacuousRound)
 				halt()
 				return
 			}
@@ -474,14 +430,14 @@ func RunCluster(o ClusterOptions) (ClusterResult, error) {
 		return fail(fmt.Errorf("cluster: %s", err))
 	}
 	if sc.AssertDedup && res.DedupHits < 1 {
-		return fail(fmt.Errorf("cluster: expected >= 1 dedup replay, got 0 (no retry of a committed batch was forced): %w", ErrVacuousRound))
+		return fail(fmt.Errorf("cluster: expected >= 1 dedup replay, got 0 (no retry of a committed batch was forced): %w", chaos.ErrVacuousRound))
 	}
 	if sc.AssertHandoff {
 		if !res.Quiesced {
-			return fail(fmt.Errorf("cluster: quiesce handoff never completed: %w", ErrVacuousRound))
+			return fail(fmt.Errorf("cluster: quiesce handoff never completed: %w", chaos.ErrVacuousRound))
 		}
 		if res.Moved < 1 || res.HandoffTasks < 1 {
-			return fail(fmt.Errorf("cluster: quiesce moved %d tasks (telemetry %d), want >= 1: %w", res.Moved, res.HandoffTasks, ErrVacuousRound))
+			return fail(fmt.Errorf("cluster: quiesce moved %d tasks (telemetry %d), want >= 1: %w", res.Moved, res.HandoffTasks, chaos.ErrVacuousRound))
 		}
 	}
 	o.Logf("cluster: PASS — delivered %d (dups %d, lost %d, budget %d), dedup hits %d, reconnects %d, handoff %d",

@@ -1,20 +1,21 @@
 package remote
 
 import (
-	"errors"
 	"testing"
 	"time"
+
+	"salsa/internal/chaos"
 )
 
 // clusterRound runs one small RunCluster round sized for tier-1 CI.
 // A round that verified exactly-once but whose seeded faults missed the
-// coverage window the scenario asserts on (ErrVacuousRound — fault
+// coverage window the scenario asserts on (chaos.ErrVacuousRound — fault
 // placement depends on real TCP chunking) re-rolls with a derived seed;
 // hard failures fail immediately.
-func clusterRound(t *testing.T, sc ClusterScenario, seed int64) ClusterResult {
+func clusterRound(t *testing.T, sc ClusterScenario, seed int64) (res ClusterResult) {
 	t.Helper()
-	for attempt := 0; ; attempt++ {
-		res, err := RunCluster(ClusterOptions{
+	seed, err := chaos.Reroll(seed, t.Logf, func(seed int64) (err error) {
+		res, err = RunCluster(ClusterOptions{
 			Scenario:    sc,
 			Seed:        seed,
 			Producers:   2,
@@ -23,16 +24,12 @@ func clusterRound(t *testing.T, sc ClusterScenario, seed int64) ClusterResult {
 			Timeout:     60 * time.Second,
 			Logf:        t.Logf,
 		})
-		if err == nil {
-			return res
-		}
-		if errors.Is(err, ErrVacuousRound) && attempt < 2 {
-			t.Logf("scenario %s seed %d: re-rolling vacuous round: %v", sc.Name, seed, err)
-			seed += 1_000_000_007
-			continue
-		}
+		return err
+	})
+	if err != nil {
 		t.Fatalf("scenario %s seed %d: %v\nspecs: %v\nfaults: %v", sc.Name, seed, err, res.Specs, res.Faults)
 	}
+	return res
 }
 
 // TestClusterBaseline: the full harness with no faults armed must

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"salsa/internal/chaos"
-	"salsa/internal/flight"
 	"salsa/internal/telemetry"
 )
 
@@ -57,21 +56,9 @@ func RunSmoke(o SmokeOptions) error {
 	const lanes = 2
 	maxWorkers := o.Workers + 2 // headroom for the drain/rejoin cycle
 
-	fail := func(err error) error { return err }
-	if o.FlightDump != "" && flight.Compiled {
-		flight.Enable(flight.Options{
-			Consumers: 1 + maxWorkers,
-			Producers: lanes,
-			RingSize:  flight.DefaultRingSize,
-		})
-		defer flight.Reset()
-		fail = func(err error) error {
-			if _, werr := flight.CaptureToFile(o.FlightDump, "serve-smoke-fail", err.Error(), true); werr != nil {
-				return fmt.Errorf("%w (flight dump %s failed: %v)", err, o.FlightDump, werr)
-			}
-			return fmt.Errorf("%w\nflight dump: %s", err, o.FlightDump)
-		}
-	}
+	fl := chaos.ArmFlight(o.FlightDump, "serve-smoke", 1+maxWorkers, lanes)
+	defer fl.Disarm()
+	fail := fl.Fail
 
 	srv, err := NewServer("127.0.0.1:0", Options{
 		Lanes: lanes, House: 1, MaxWorkers: maxWorkers,
@@ -113,15 +100,9 @@ func RunSmoke(o SmokeOptions) error {
 				errs <- fmt.Errorf("worker %d: %w", w.ID(), err)
 				return
 			}
-			for _, b := range bodies {
-				if len(b) != 8 {
-					errs <- fmt.Errorf("worker %d: task body of %d bytes", w.ID(), len(b))
-					return
-				}
-				if err := ledger.Record(int(binary.BigEndian.Uint32(b)), int(binary.BigEndian.Uint32(b[4:]))); err != nil {
-					errs <- err
-					return
-				}
+			if err := recordBodies(ledger, bodies); err != nil {
+				errs <- fmt.Errorf("worker %d: %w", w.ID(), err)
+				return
 			}
 			got += int64(len(bodies))
 			if drainAfter > 0 && got >= drainAfter {
@@ -159,21 +140,8 @@ func RunSmoke(o SmokeOptions) error {
 			return
 		}
 		defer pr.Close()
-		body := func(seq int) []byte {
-			b := make([]byte, 8)
-			binary.BigEndian.PutUint32(b[4:], uint32(seq))
-			return b
-		}
-		run := make([][]byte, 0, o.Batch)
-		for seq := 0; seq < o.Tasks; seq++ {
-			run = append(run, body(seq))
-			if len(run) == o.Batch || seq == o.Tasks-1 {
-				if err := pr.Produce(ctx, run); err != nil {
-					errs <- fmt.Errorf("producer: %w", err)
-					return
-				}
-				run = run[:0]
-			}
+		if err := produceLedger(ctx, pr, 0, o.Tasks, o.Batch); err != nil {
+			errs <- fmt.Errorf("producer: %w", err)
 		}
 	}()
 
@@ -246,4 +214,41 @@ func promValue(text, series string) (float64, bool) {
 		return v, true
 	}
 	return 0, false
+}
+
+// The cluster and smoke rounds move ledger identities over the wire the same
+// way: a task body is the 8-byte big-endian (producer, seq) pair.
+
+// produceLedger publishes producer's tasks 0..n-1 through pr in batch-sized
+// runs, each body carrying its ledger identity.
+func produceLedger(ctx context.Context, pr *Producer, producer, n, batch int) error {
+	run := make([][]byte, 0, batch)
+	for seq := 0; seq < n; seq++ {
+		b := make([]byte, 8)
+		binary.BigEndian.PutUint32(b, uint32(producer))
+		binary.BigEndian.PutUint32(b[4:], uint32(seq))
+		run = append(run, b)
+		if len(run) == batch || seq == n-1 {
+			if err := pr.Produce(ctx, run); err != nil {
+				return err
+			}
+			run = run[:0]
+		}
+	}
+	return nil
+}
+
+// recordBodies tallies one GET_BATCH reply into the ledger. A body of the
+// wrong size or an identity outside the universe is a corrupted or foreign
+// frame, and fails the round.
+func recordBodies(l *chaos.Ledger, bodies [][]byte) error {
+	for _, b := range bodies {
+		if len(b) != 8 {
+			return fmt.Errorf("task body of %d bytes", len(b))
+		}
+		if err := l.Record(int(binary.BigEndian.Uint32(b)), int(binary.BigEndian.Uint32(b[4:]))); err != nil {
+			return err
+		}
+	}
+	return nil
 }

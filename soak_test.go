@@ -8,6 +8,7 @@ import (
 
 	"salsa"
 	"salsa/internal/backoff"
+	"salsa/internal/chaos"
 	"salsa/internal/loadgen"
 )
 
@@ -28,10 +29,10 @@ func TestSoak(t *testing.T) {
 	const seed = 1
 	for si, sc := range scenarios {
 		sc := sc
-		scSeed := uint64(int64(seed)*1_000_003 + int64(si)*10_007)
+		scSeed := uint64(chaos.RoundSeed(seed, si, 0))
 		t.Run(sc.Name, func(t *testing.T) {
 			res := loadgen.Run(sc, scSeed, loadgen.Options{})
-			t.Log(res.Report())
+			t.Log(res.Summary())
 			if res.Verdict != nil {
 				t.Fatalf("verdict: %v\nreplay: %s", res.Verdict, res.ReplayInvocation())
 			}
