@@ -54,8 +54,8 @@ chaos:
 # seeded netchaos proxies (delays, resets, blackholes, drips on the
 # producer, worker and handoff paths), producer failover, a mid-round
 # quiesce handoff, and exactly-once ledger accounting. A failing scenario
-# prints a replayable FAIL line and leaves a flight dump plus a
-# netchaos-<scenario>.txt schedule artifact in results/.
+# prints a replayable FAIL line and leaves a flight dump plus the FAIL
+# line itself (flight-cluster-<scenario>-r<i>.bin/.txt) in results/.
 cluster-chaos:
 	@mkdir -p results
 	$(GO) run -race ./cmd/salsa-chaos -cluster -rounds 1 -flight-dir results
@@ -132,7 +132,7 @@ flight-smoke:
 # Distributed-service smoke: boots a real shard server on loopback TCP,
 # drives a full exactly-once round through the wire protocol (with a
 # mid-stream worker drain/rejoin), and scrapes /metrics over HTTP. On
-# failure the shard's flight dump lands in results/flight-serve-smoke.bin
+# failure the shard's flight dump lands in results/flight-serve-smoke-r0.bin
 # (salsa-doctor reads it).
 serve-smoke:
 	@mkdir -p results
