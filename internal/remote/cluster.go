@@ -122,10 +122,9 @@ func (o *ClusterOptions) defaults() {
 // verified with exactly-once ledger accounting under the scenario's
 // budget. Every fault and backoff decision is a pure function of
 // o.Seed, so a failing round replays.
-func RunCluster(o ClusterOptions) (ClusterResult, error) {
+func RunCluster(o ClusterOptions) (res ClusterResult, _ error) {
 	o.defaults()
 	sc := o.Scenario
-	var res ClusterResult
 
 	// Both shards share the process-global flight recorder, so each gets
 	// a disjoint actor-id range: shard i records as ids
@@ -195,7 +194,7 @@ func RunCluster(o ClusterOptions) (ClusterResult, error) {
 	if err != nil {
 		return fail(err)
 	}
-	defer func() {
+	defer func() { // res is the named result: the census lands in what the caller sees
 		for name, p := range proxies {
 			res.Faults[name] = p.Faults()
 			res.TotalFaults += p.TotalFaults()

@@ -48,11 +48,20 @@ func TestClusterAckLossRetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster fault round")
 	}
-	clusterRound(t, ClusterScenario{
+	res := clusterRound(t, ClusterScenario{
 		Name:        "ack-loss-retry",
 		ProdSpec:    "s2c=reset@0.04#6",
 		AssertDedup: true,
 	}, 7)
+	// A dedup replay needs at least one reset to have fired, and both
+	// prod proxies' censuses must reach the caller.
+	var byProxy int64
+	for _, actions := range res.Faults {
+		byProxy += actions["reset"]
+	}
+	if res.TotalFaults < 1 || res.TotalFaults != byProxy {
+		t.Fatalf("TotalFaults = %d, per-proxy resets sum to %d (faults %v)", res.TotalFaults, byProxy, res.Faults)
+	}
 }
 
 // TestClusterQuiesceHandoff: mid-round drain of shard 0 into shard 1
