@@ -194,7 +194,7 @@ func (h *Harness) Run(table []Scenario, round func(c *Cell) (summary string, err
 		fmt.Fprintf(os.Stderr, "%s: no scenario matches -run %q\n", h.Name, h.Filter)
 		return 2
 	case failed > 0:
-		fmt.Printf("\nFAIL: %s: %d of %d scenarios x %d rounds, %v elapsed\n", h.Name, failed, ran, h.Rounds, elapsed)
+		fmt.Printf("\nFAIL: %s: %d failed rounds in %d scenarios x %d rounds, %v elapsed\n", h.Name, failed, ran, h.Rounds, elapsed)
 		return 1
 	}
 	fmt.Printf("\nPASS: %s: %d scenarios x %d rounds, %v elapsed\n", h.Name, ran, h.Rounds, elapsed)
