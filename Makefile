@@ -11,8 +11,10 @@ FLIGHT_TOL ?= 0.5
 # Allowed fractional ns/op increase for the allocation-gate benchmarks.
 # Generous on purpose: BENCH_alloc.json's committed reference guards the
 # allocs/op column (exact, -alloctol 0); its ns/op only has to stay within
-# shouting distance so a grossly broken build still trips the gate.
-ALLOC_NS_TOL ?= 1.0
+# shouting distance so a grossly broken build still trips the gate — and
+# BenchmarkAllocWire's ns/op is loopback round trips, which differ between
+# hosts by more than a pool transfer does.
+ALLOC_NS_TOL ?= 3.0
 
 # Coverage floor for `make cover` (total statement coverage, percent).
 # Raise it when coverage rises; never lower it to make a failure go away.
@@ -102,12 +104,14 @@ bench:
 # within FLIGHT_TOL of the freshly recorded baseline.
 #
 # The allocation gate runs last: BenchmarkAlloc (steady-state Put/Get
-# bursts) with -benchmem against the *committed*
+# bursts) and BenchmarkAllocWire (the same burst through a loopback shard:
+# Produce 64 x 32 B, GetBatch(64)) with -benchmem against the *committed*
 # BENCH_alloc.json — allocs/op must not grow at all (-alloctol 0) — and
 # only then is the reference refreshed. A hot path that starts allocating
-# fails here before the regression ships. The benchmark is one goroutine,
-# so -cpu 1 costs nothing and keeps the record name free of the host's
-# GOMAXPROCS suffix — the committed reference matches on any machine.
+# fails here before the regression ships. Both benchmarks are serial (the
+# wire one blocks on its round trips), so -cpu 1 costs nothing and keeps
+# the record names free of the host's GOMAXPROCS suffix — the committed
+# reference matches on any machine.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig14a|BenchmarkBatch' -benchtime 1000000x . > bench_smoke.txt
 	$(GO) run ./cmd/benchjson -o BENCH_batch.json < bench_smoke.txt
@@ -115,7 +119,7 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -compare BENCH_batch.json -tol $(FLIGHT_TOL) < bench_noflight.txt > /dev/null
 	SALSA_FLIGHT_BENCH=1 $(GO) test -run '^$$' -bench 'BenchmarkFig14a|BenchmarkBatch' -benchtime 1000000x . > bench_armed.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_batch.json -tol $(FLIGHT_TOL) < bench_armed.txt > /dev/null
-	$(GO) test -run '^$$' -bench '^BenchmarkAlloc$$' -benchmem -benchtime 300000x -cpu 1 . > bench_alloc.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkAlloc(Wire)?$$' -benchmem -benchtime 300000x -cpu 1 . > bench_alloc.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_alloc.json -tol $(ALLOC_NS_TOL) -alloctol 0 < bench_alloc.txt > /dev/null
 	$(GO) run ./cmd/benchjson -o BENCH_alloc.json < bench_alloc.txt
 	@rm -f bench_smoke.txt bench_noflight.txt bench_armed.txt bench_alloc.txt

@@ -385,6 +385,7 @@ type AdmittedProducer[T any] struct {
 	p     *Producer[T]
 	cell  *admCell
 	class PriorityClass
+	one   [1]*T // Put's batch of one; the handle is single-goroutine
 }
 
 // Class returns the handle's priority class.
@@ -404,7 +405,9 @@ func (ap *AdmittedProducer[T]) shedN(reason ShedReason, n int64) error {
 // for saturation sheds) and the caller keeps ownership of t. Under
 // AdmitQueue the call may block up to QueueTimeout.
 func (ap *AdmittedProducer[T]) Put(t *T) error {
-	_, err := ap.putBatch([]*T{t})
+	ap.one[0] = t
+	_, err := ap.putBatch(ap.one[:])
+	ap.one[0] = nil
 	return err
 }
 

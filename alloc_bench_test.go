@@ -1,17 +1,20 @@
 // Benchmarks pinning the allocation budget of the steady-state hot paths.
-// BenchmarkAlloc is the bench-smoke allocation gate: its records are
-// committed to BENCH_alloc.json (with allocs/op and B/op from -benchmem)
-// and compared with -alloctol 0, so a Put/Get path that starts
-// allocating per task fails the gate the day it lands. The steady state
+// BenchmarkAlloc and BenchmarkAllocWire are the bench-smoke allocation gate:
+// their records are committed to BENCH_alloc.json (with allocs/op and B/op
+// from -benchmem) and compared with -alloctol 0, so a Put/Get path that
+// starts allocating per task fails the gate the day it lands. The steady state
 // recirculates task pointers and chunk memory; the only allocations left
 // are chunk-header rebuilds, amortized across a whole chunk residence,
 // which round to 0 allocs/op.
 package salsa_test
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"salsa"
+	"salsa/internal/remote"
 	"salsa/internal/workload"
 )
 
@@ -53,4 +56,53 @@ func BenchmarkAlloc(b *testing.B) {
 			burst(min(run, b.N-done))
 		}
 	})
+}
+
+// BenchmarkAllocWire extends the gate to the wire path: one loopback shard,
+// Produce of 64 × 32-byte bodies then GetBatch(64) until they are back.
+// ns/op is one task across both round trips; client, codec and both shard
+// handlers together must hold 0 allocs/op — every frame's slab, scratch and
+// reply buffer is recycled (DESIGN.md §12.1).
+func BenchmarkAllocWire(b *testing.B) {
+	srv, err := remote.NewServer("127.0.0.1:0", remote.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	prod, err := remote.DialProducer([]string{srv.Addr()}, remote.ProducerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer prod.Close()
+	wk, err := remote.DialWorker(srv.Addr(), remote.WorkerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer wk.Close()
+	const run = 64
+	bodies := make([][]byte, run)
+	for i := range bodies {
+		bodies[i] = make([]byte, 32)
+	}
+	ctx := context.Background()
+	burst := func(n int) {
+		if err := prod.Produce(ctx, bodies[:n]); err != nil {
+			b.Fatal(err)
+		}
+		for got := 0; got < n; {
+			bs, err := wk.GetBatch(run, time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got += len(bs)
+		}
+	}
+	for r := 0; r < 64; r++ {
+		burst(run)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += run {
+		burst(min(run, b.N-done))
+	}
 }

@@ -26,7 +26,15 @@ const dialTimeout = 5 * time.Second
 // server answer (the request's outcome is KNOWN) from a transport error
 // (outcome unknown — the retry/idempotency machinery's distinction).
 func roundTrip(fc *framedConn, k Kind, payload []byte) (Frame, error) {
-	if err := fc.write(k, payload); err != nil {
+	fc.begin(k)
+	fc.wbuf = append(fc.wbuf, payload...)
+	return exchange(fc)
+}
+
+// exchange is roundTrip for a request the caller staged in fc's write
+// buffer (fc.begin, then append the payload).
+func exchange(fc *framedConn) (Frame, error) {
+	if err := fc.flush(); err != nil {
 		return Frame{}, err
 	}
 	f, err := fc.read()
@@ -634,10 +642,11 @@ type WorkerOptions struct {
 // whose consumer membership, lease, and kill semantics mirror an
 // in-process consumer handle. Single-goroutine.
 type Worker struct {
-	fc    *framedConn
-	id    int
-	lease time.Duration
-	o     WorkerOptions
+	fc     *framedConn
+	id     int
+	lease  time.Duration
+	o      WorkerOptions
+	bodies [][]byte // GetBatch's result, reused by the next call
 }
 
 // DialWorker connects to a shard and joins its consumer membership.
@@ -700,29 +709,31 @@ func (w *Worker) Lease() time.Duration { return w.lease }
 
 // GetBatch retrieves up to max tasks, holding the request server-side for
 // at most wait when the shard is dry (an empty result is a dry shard, not
-// an emptiness proof). The returned bodies alias the connection's read
-// buffer and are valid until the next call; callers that retain them must
-// copy. Returns salsa.ErrKilled (wrapped) once the shard has declared
-// this worker crashed, ErrDraining once it is quiescing (re-join another
-// shard; this consumer is retired).
+// an emptiness proof). The returned slice and the bodies in it — which
+// alias the connection's read buffer — are valid until the next call;
+// callers that retain either must copy. Returns salsa.ErrKilled (wrapped)
+// once the shard has declared this worker crashed, ErrDraining once it is
+// quiescing (re-join another shard; this consumer is retired).
 func (w *Worker) GetBatch(max int, wait time.Duration) ([][]byte, error) {
 	if w.o.OpTimeout > 0 {
 		w.fc.c.SetDeadline(time.Now().Add(wait + w.o.OpTimeout))
 		defer w.fc.c.SetDeadline(time.Time{})
 	}
-	req := AppendGetReq(nil, GetReq{Max: uint32(max), WaitMs: uint32(wait.Milliseconds())})
-	f, err := roundTrip(w.fc, KindGetBatch, req)
+	w.fc.begin(KindGetBatch)
+	w.fc.wbuf = AppendGetReq(w.fc.wbuf, GetReq{Max: uint32(max), WaitMs: uint32(wait.Milliseconds())})
+	f, err := exchange(w.fc)
 	if err != nil {
 		return nil, err
 	}
 	if f.Kind != KindTasks {
 		return nil, fmt.Errorf("%w: %v to GET_BATCH", ErrProtocol, f.Kind)
 	}
-	b, err := DecodeBatch(f.Payload, KindTasks)
+	bodies, err := decodeBatchInto(w.bodies, f.Payload, KindTasks)
 	if err != nil {
 		return nil, err
 	}
-	return b.Tasks, nil
+	w.bodies = bodies
+	return bodies, nil
 }
 
 // Ping refreshes the lease without retrieving.

@@ -41,6 +41,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(AppendFrame(nil, KindPutBatch, AppendPutReq(nil, PutReq{Token: 1, Seq: 2, B: big})))
 
+	// The into-scratch decoders run against scratch a longer batch has
+	// already been through, so an entry they failed to overwrite would
+	// surface as a stale body.
+	stale := Batch{Tasks: make([][]byte, 300)}
+	for i := range stale.Tasks {
+		stale.Tasks[i] = []byte("stale")
+	}
+	staleEnc := AppendBatch(nil, stale)
+
 	const fuzzMax = 1 << 16 // small cap: over-allocation would be visible as OOM/latency
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, consumed, err := DecodeFrame(data, fuzzMax)
@@ -75,9 +84,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		case KindPutBatch:
 			v, err := DecodePutReq(fr.Payload)
 			tre, terr = AppendPutReq(nil, v), err
+			scratch, _ := decodeBatchInto(nil, staleEnc, KindTasks)
+			into, ierr := decodePutReqInto(scratch, fr.Payload)
+			sameDecode(t, v.B.Tasks, err, into.B.Tasks, ierr)
+			if err == nil && (into.Token != v.Token || into.Seq != v.Seq) {
+				t.Fatalf("into-scratch PUT_BATCH identity (%d, %d), want (%d, %d)", into.Token, into.Seq, v.Token, v.Seq)
+			}
 		case KindTasks:
 			v, err := DecodeBatch(fr.Payload, fr.Kind)
 			tre, terr = AppendBatch(nil, v), err
+			scratch, _ := decodeBatchInto(nil, staleEnc, KindTasks)
+			into, ierr := decodeBatchInto(scratch, fr.Payload, fr.Kind)
+			sameDecode(t, v.Tasks, err, into, ierr)
 		case KindQuiesce:
 			v, err := DecodeQuiesceReq(fr.Payload)
 			tre, terr = AppendQuiesceReq(nil, v), err
@@ -97,4 +115,24 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("%v payload re-encode mismatch", fr.Kind)
 		}
 	})
+}
+
+// sameDecode requires the allocating and the into-scratch decode of one
+// payload to agree: both fail, or both yield the same bodies.
+func sameDecode(t *testing.T, fresh [][]byte, ferr error, into [][]byte, ierr error) {
+	t.Helper()
+	if (ferr == nil) != (ierr == nil) {
+		t.Fatalf("fresh decode err = %v, into-scratch err = %v", ferr, ierr)
+	}
+	if ferr != nil {
+		return
+	}
+	if len(into) != len(fresh) {
+		t.Fatalf("into-scratch decoded %d bodies, fresh %d", len(into), len(fresh))
+	}
+	for i := range fresh {
+		if !bytes.Equal(into[i], fresh[i]) {
+			t.Fatalf("body %d: into-scratch %q, fresh %q", i, into[i], fresh[i])
+		}
+	}
 }

@@ -26,7 +26,7 @@ func (s *Server) handleQuiesce(fc *framedConn, payload []byte) {
 		s.sendErr(fc, err)
 		return
 	}
-	s.send(fc, KindAck, AppendAck(nil, Ack{A: uint64(moved)}))
+	s.sendAck(fc, Ack{A: uint64(moved)})
 }
 
 // workerSessionCount returns the number of live worker sessions.

@@ -16,8 +16,13 @@ import (
 
 // Task is the unit a shard queues: an opaque byte payload. Identity and
 // semantics belong to the application on both ends of the wire; the shard
-// only moves runs of them through its in-process SALSA pool.
-type Task struct{ Body []byte }
+// only moves runs of them through its in-process SALSA pool. Body points
+// into the task's home slab and is valid until the task has been served
+// (see slab).
+type Task struct {
+	Body []byte
+	home *slab
+}
 
 // Options configures a shard server.
 type Options struct {
@@ -150,6 +155,9 @@ type Server struct {
 	dedupHits     atomic.Int64
 	handoffTasks  atomic.Int64
 
+	// slabs recycles PUT_BATCH frame memory once serveWorker has served it.
+	slabs slabList
+
 	// dedup is the PUT_BATCH idempotency window (nil when disabled).
 	dedup   *dedupTable
 	connSeq atomic.Uint64 // connection ids for reconnect counting
@@ -264,10 +272,17 @@ func (s *Server) count(k Kind) {
 	}
 }
 
-// send writes a frame and counts it in the wire census.
-func (s *Server) send(fc *framedConn, k Kind, payload []byte) error {
-	s.count(k)
-	return fc.write(k, payload)
+// flush sends the frame staged in fc's write buffer since fc.begin and
+// counts it in the wire census.
+func (s *Server) flush(fc *framedConn) error {
+	s.count(Kind(fc.wbuf[3]))
+	return fc.flush()
+}
+
+func (s *Server) sendAck(fc *framedConn, a Ack) error {
+	fc.begin(KindAck)
+	fc.wbuf = AppendAck(fc.wbuf, a)
+	return s.flush(fc)
 }
 
 func (s *Server) sendErr(fc *framedConn, err error) error {
@@ -361,13 +376,17 @@ func (s *Server) serveProducer(fc *framedConn) {
 		return
 	}
 	defer func() { s.lanes <- lane }()
-	if s.send(fc, KindAck, AppendAck(nil, Ack{A: uint64(lane.ID())})) != nil {
+	if s.sendAck(fc, Ack{A: uint64(lane.ID())}) != nil {
 		return
 	}
 	retryMs := uint32(s.o.RetryAfter.Milliseconds())
 	if retryMs == 0 {
 		retryMs = 1
 	}
+	// Per-connection scratch, reused by every frame: the decoded bodies
+	// (aliasing the read buffer) and the pointer run handed to the pool.
+	var bodies [][]byte
+	var ptrs []*Task
 	for {
 		f, err := fc.read()
 		if err != nil {
@@ -376,11 +395,12 @@ func (s *Server) serveProducer(fc *framedConn) {
 		s.count(f.Kind)
 		switch f.Kind {
 		case KindPutBatch:
-			req, err := DecodePutReq(f.Payload)
+			req, err := decodePutReqInto(bodies, f.Payload)
 			if err != nil {
 				s.sendErr(fc, fmt.Errorf("%w: %v", ErrProtocol, err))
 				return
 			}
+			bodies = req.B.Tasks
 			// Idempotent retry: a (token, seq) the shard already
 			// committed replays the original ACK instead of inserting
 			// twice — the retry after a lost ACK is the one scenario
@@ -392,7 +412,7 @@ func (s *Server) serveProducer(fc *framedConn) {
 				}
 				if replay {
 					s.dedupHits.Add(1)
-					if s.send(fc, KindAck, AppendAck(nil, Ack{A: n})) != nil {
+					if s.sendAck(fc, Ack{A: n}) != nil {
 						return
 					}
 					continue
@@ -407,23 +427,24 @@ func (s *Server) serveProducer(fc *framedConn) {
 				s.sendErr(fc, ErrDraining)
 				return
 			}
-			// Copy out of the read buffer: the pool owns accepted tasks
-			// past this request's lifetime.
-			b := req.B
-			tasks := make([]Task, len(b.Tasks))
-			ptrs := make([]*Task, len(b.Tasks))
-			for i, body := range b.Tasks {
-				tasks[i] = Task{Body: append([]byte(nil), body...)}
-				ptrs[i] = &tasks[i]
+			// Copy out of the read buffer into a slab: the pool owns
+			// accepted tasks past this request's lifetime.
+			sl := s.slabs.get()
+			tasks := sl.fill(bodies)
+			ptrs = ptrs[:0]
+			for i := range tasks {
+				ptrs = append(ptrs, &tasks[i])
 			}
 			n, perr := lane.TryPutBatch(ptrs)
 			s.putsInFlight.Add(-1)
 			if n < len(ptrs) {
 				// The pool refused part or all of the run: its chunk
 				// pools are exhausted everywhere this lane reaches.
-				// Cross-shard backpressure, not an error.
+				// Cross-shard backpressure, not an error. The refused
+				// suffix was never published, so it is released here.
 				s.saturated.Add(1)
 				_ = perr // always salsa.ErrSaturated here
+				s.slabs.release(sl, len(ptrs)-n)
 			}
 			// Record the outcome BEFORE the ACK leaves: if the ACK is
 			// lost to a cut, the retry must hit the window. Only
@@ -435,19 +456,21 @@ func (s *Server) serveProducer(fc *framedConn) {
 			}
 			var werr error
 			if n == 0 && len(ptrs) > 0 {
-				werr = s.send(fc, KindSaturated, AppendSaturated(nil, SaturatedMsg{RetryAfterMs: retryMs}))
+				fc.begin(KindSaturated)
+				fc.wbuf = AppendSaturated(fc.wbuf, SaturatedMsg{RetryAfterMs: retryMs})
+				werr = s.flush(fc)
 			} else {
-				werr = s.send(fc, KindAck, AppendAck(nil, Ack{A: uint64(n)}))
+				werr = s.sendAck(fc, Ack{A: uint64(n)})
 			}
 			if werr != nil {
 				return
 			}
 		case KindPing:
-			if s.send(fc, KindAck, AppendAck(nil, Ack{})) != nil {
+			if s.sendAck(fc, Ack{}) != nil {
 				return
 			}
 		case KindDrain:
-			s.send(fc, KindAck, AppendAck(nil, Ack{}))
+			s.sendAck(fc, Ack{})
 			return
 		default:
 			s.sendErr(fc, fmt.Errorf("%w: unexpected %v on a producer connection", ErrProtocol, f.Kind))
@@ -504,16 +527,21 @@ func (s *Server) serveWorker(fc *framedConn, c net.Conn) {
 			}
 		}
 	}()
-	if s.send(fc, KindAck, AppendAck(nil, Ack{
+	if s.sendAck(fc, Ack{
 		A: uint64(sess.id),
 		B: uint64(s.o.LeaseTimeout.Milliseconds()),
-	})) != nil {
+	}) != nil {
 		return
 	}
 
 	buf := make([]*Task, s.o.MaxBatch)
-	enc := make([]byte, 0, 4096)
-	bodies := make([][]byte, 0, s.o.MaxBatch)
+	// The dry poll's timer, made on the first dry GET_BATCH and reused.
+	var poll *time.Timer
+	defer func() {
+		if poll != nil {
+			poll.Stop()
+		}
+	}()
 	for {
 		f, err := fc.read()
 		if err != nil {
@@ -547,10 +575,15 @@ func (s *Server) serveWorker(fc *framedConn, c net.Conn) {
 				if n > 0 || cons.Killed() || s.isDraining() || !time.Now().Before(deadline) {
 					break
 				}
+				if poll == nil {
+					poll = time.NewTimer(dryPoll)
+				} else {
+					poll.Reset(dryPoll)
+				}
 				select {
 				case <-s.stop:
 					return
-				case <-time.After(200 * time.Microsecond):
+				case <-poll.C:
 				}
 			}
 			if n == 0 && cons.Killed() {
@@ -567,14 +600,14 @@ func (s *Server) serveWorker(fc *framedConn, c net.Conn) {
 				s.sendErr(fc, ErrDraining)
 				return
 			}
-			bodies = bodies[:0]
-			for _, t := range buf[:n] {
-				bodies = append(bodies, t.Body)
-			}
-			enc = AppendBatch(enc[:0], Batch{Tasks: bodies})
-			if s.send(fc, KindTasks, enc) != nil {
+			fc.begin(KindTasks)
+			fc.wbuf = appendTasks(fc.wbuf, buf[:n])
+			if s.flush(fc) != nil {
 				return
 			}
+			// The one place a slab is released: the bodies are in the
+			// kernel's hands and nothing reads them again.
+			s.slabs.releaseServed(buf[:n])
 			clear(buf[:n])
 		case KindPing:
 			if s.isDraining() {
@@ -582,7 +615,7 @@ func (s *Server) serveWorker(fc *framedConn, c net.Conn) {
 				s.sendErr(fc, ErrDraining)
 				return
 			}
-			if s.send(fc, KindAck, AppendAck(nil, Ack{})) != nil {
+			if s.sendAck(fc, Ack{}) != nil {
 				return
 			}
 		case KindDrain:
@@ -596,7 +629,7 @@ func (s *Server) serveWorker(fc *framedConn, c net.Conn) {
 				}
 				s.o.Logf("remote: worker %d drained", sess.id)
 			}
-			s.send(fc, KindAck, AppendAck(nil, Ack{}))
+			s.sendAck(fc, Ack{})
 			return
 		default:
 			s.sendErr(fc, fmt.Errorf("%w: unexpected %v on a worker connection", ErrProtocol, f.Kind))
@@ -604,6 +637,9 @@ func (s *Server) serveWorker(fc *framedConn, c net.Conn) {
 		}
 	}
 }
+
+// dryPoll is how often a held GET_BATCH re-tries a dry shard.
+const dryPoll = 200 * time.Microsecond
 
 // retireDraining departs a worker's consumer on the quiesce path: the
 // winner of the departed flip retires it (residual chunks republish for
@@ -632,8 +668,11 @@ const (
 type putHistory struct {
 	connID   uint64            // last connection seen for this token
 	seqs     map[uint64]uint64 // committed seq → accepted count
-	order    []uint64          // FIFO of recorded seqs (window eviction)
 	lastUsed uint64            // logical clock for token LRU eviction
+	// order is the ring of recorded seqs behind the window eviction:
+	// record i lives at order[i%dedupSeqWindow], recorded counts them.
+	order    [dedupSeqWindow]uint64
+	recorded uint64
 }
 
 // dedupTable is the shard's PUT_BATCH idempotency window.
@@ -681,12 +720,13 @@ func (d *dedupTable) record(token, seq, accepted uint64) {
 	if _, dup := h.seqs[seq]; dup {
 		return
 	}
-	if len(h.order) >= dedupSeqWindow {
-		delete(h.seqs, h.order[0])
-		h.order = h.order[1:]
+	slot := &h.order[h.recorded%dedupSeqWindow]
+	if h.recorded >= dedupSeqWindow {
+		delete(h.seqs, *slot) // the oldest record leaves the window
 	}
+	*slot = seq
+	h.recorded++
 	h.seqs[seq] = accepted
-	h.order = append(h.order, seq)
 }
 
 // ensureLocked returns the token's history, creating it (and evicting

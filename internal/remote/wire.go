@@ -35,6 +35,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -404,24 +405,51 @@ func AppendBatch(dst []byte, b Batch) []byte {
 	return dst
 }
 
-// DecodeBatch parses a KindPutBatch/KindTasks payload. The declared task
-// count is validated against both MaxTasksPerBatch and the bytes actually
-// present (each task costs at least a 4-byte length prefix) before the
-// slice is allocated, so a hostile count cannot over-allocate.
+// appendTasks is AppendBatch straight from a run of the shard's tasks, so
+// serving a TASKS frame needs no intermediate [][]byte.
+func appendTasks(dst []byte, ts []*Task) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ts)))
+	for _, t := range ts {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Body)))
+		dst = append(dst, t.Body...)
+	}
+	return dst
+}
+
+// DecodeBatch parses a KindPutBatch/KindTasks payload into a fresh slice.
+// See decodeBatchInto for the validation contract.
 func DecodeBatch(b []byte, kind Kind) (Batch, error) {
+	tasks, err := decodeBatchInto(nil, b, kind)
+	if err != nil {
+		return Batch{}, err
+	}
+	return Batch{Tasks: tasks}, nil
+}
+
+// decodeBatchInto is DecodeBatch into caller-owned scratch: the bodies
+// overwrite dst (grown only when the batch outgrows its capacity) and the
+// returned slice is exactly the batch — nothing of dst's previous contents
+// survives in it. The declared task count is validated against both
+// MaxTasksPerBatch and the bytes actually present (each task costs at least
+// a 4-byte length prefix) before anything is sized by it, so a hostile count
+// cannot over-allocate.
+func decodeBatchInto(dst [][]byte, b []byte, kind Kind) ([][]byte, error) {
 	p := payloadReader{b: b}
 	n := p.u32()
 	if p.bad || n > MaxTasksPerBatch || uint64(n) > uint64(len(p.b)/4) {
-		return Batch{}, fmt.Errorf("%w: task count %d", ErrBadFrame, n)
+		return nil, fmt.Errorf("%w: task count %d", ErrBadFrame, n)
 	}
-	out := Batch{Tasks: make([][]byte, n)}
-	for i := range out.Tasks {
-		out.Tasks[i] = p.bytes()
+	if cap(dst) < int(n) {
+		dst = make([][]byte, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = p.bytes()
 	}
 	if err := p.finish(kind); err != nil {
-		return Batch{}, err
+		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PutReq is the KindPutBatch payload: the batch plus the producer's
@@ -445,13 +473,19 @@ func AppendPutReq(dst []byte, r PutReq) []byte {
 
 // DecodePutReq parses a KindPutBatch payload. Task bodies alias b.
 func DecodePutReq(b []byte) (PutReq, error) {
+	return decodePutReqInto(nil, b)
+}
+
+// decodePutReqInto is DecodePutReq with the bodies decoded into dst (see
+// decodeBatchInto).
+func decodePutReqInto(dst [][]byte, b []byte) (PutReq, error) {
 	p := payloadReader{b: b}
 	r := PutReq{Token: p.u64(), Seq: p.u64()}
 	if p.bad {
 		return PutReq{}, fmt.Errorf("%w: short %s payload", ErrBadFrame, KindPutBatch)
 	}
 	var err error
-	r.B, err = DecodeBatch(p.b, KindPutBatch)
+	r.B.Tasks, err = decodeBatchInto(dst, p.b, KindPutBatch)
 	if err != nil {
 		return PutReq{}, err
 	}
@@ -535,12 +569,17 @@ func DecodeSaturated(b []byte) (SaturatedMsg, error) {
 	return s, nil
 }
 
+// readBufSize is the framed connection's read-ahead: a frame of at most
+// this many bytes that arrived whole costs one read on the socket, not one
+// for the header and one for the payload.
+const readBufSize = 4096
+
 // framedConn is a framed connection: buffered reads, single-write frames,
 // and reusable read/write buffers. Not safe for concurrent use; the
 // protocol is strictly request/response per connection.
 type framedConn struct {
 	c    net.Conn
-	r    io.Reader
+	r    *bufio.Reader
 	hdr  [HeaderSize]byte
 	rbuf []byte
 	wbuf []byte
@@ -551,7 +590,7 @@ func newFramedConn(c net.Conn, maxPayload int) *framedConn {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	return &framedConn{c: c, r: c, max: maxPayload}
+	return &framedConn{c: c, r: bufio.NewReaderSize(c, readBufSize), max: maxPayload}
 }
 
 // read reads one frame. The returned payload aliases the connection's
@@ -577,16 +616,33 @@ func (fc *framedConn) read() (Frame, error) {
 	return Frame{Kind: k, Payload: buf}, nil
 }
 
-// write sends one frame as a single Write call.
-func (fc *framedConn) write(k Kind, payload []byte) error {
-	fc.wbuf = AppendFrame(fc.wbuf[:0], k, payload)
+// begin starts a frame of kind k in the connection's write buffer. The
+// caller appends the payload to fc.wbuf and sends it with flush, so a
+// reply is encoded in place: no payload slice of its own, no copy.
+func (fc *framedConn) begin(k Kind) {
+	fc.wbuf = append(fc.wbuf[:0], magic0, magic1, Version, byte(k), 0, 0, 0, 0)
+}
+
+// flush stamps the payload length into the header begin left open and
+// sends the frame as a single Write call.
+func (fc *framedConn) flush() error {
+	binary.BigEndian.PutUint32(fc.wbuf[4:HeaderSize], uint32(len(fc.wbuf)-HeaderSize))
 	_, err := fc.c.Write(fc.wbuf)
 	return err
 }
 
+// write sends one frame as a single Write call.
+func (fc *framedConn) write(k Kind, payload []byte) error {
+	fc.begin(k)
+	fc.wbuf = append(fc.wbuf, payload...)
+	return fc.flush()
+}
+
 // writeErr sends a typed KindErr frame for err (see CodeOf).
 func (fc *framedConn) writeErr(err error) error {
-	return fc.write(KindErr, AppendErrMsg(nil, ErrMsg{Code: CodeOf(err), Msg: err.Error()}))
+	fc.begin(KindErr)
+	fc.wbuf = AppendErrMsg(fc.wbuf, ErrMsg{Code: CodeOf(err), Msg: err.Error()})
+	return fc.flush()
 }
 
 func (fc *framedConn) Close() error { return fc.c.Close() }

@@ -8,6 +8,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"salsa/internal/netchaos"
 )
 
 // randomFrame builds a random valid (kind, payload) pair using the typed
@@ -198,6 +200,131 @@ func TestFramedConnChunkedDelivery(t *testing.T) {
 	}
 	if _, err := fc.read(); err != io.EOF {
 		t.Fatalf("after last frame: %v, want EOF", err)
+	}
+}
+
+// countingConn counts the Read calls that reach the transport.
+type countingConn struct {
+	net.Conn
+	reads int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(p)
+}
+
+// TestFramedConnOneReadPerFrame pins the read-ahead: a frame of at most
+// readBufSize bytes that arrives whole costs one Read on the transport (it
+// was two: header, then payload). net.Pipe delivers each Write as a unit,
+// so "arrives whole" is exact. A read deadline still surfaces as a timeout,
+// and the connection still frames correctly after it.
+func TestFramedConnOneReadPerFrame(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	sizes := []int{0, 16, 2324 - HeaderSize, readBufSize - HeaderSize}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for _, n := range sizes {
+			server.Write(AppendFrame(nil, KindTasks, bytes.Repeat([]byte{byte(n)}, n)))
+		}
+	}()
+	cc := &countingConn{Conn: client}
+	fc := newFramedConn(cc, DefaultMaxPayload)
+	for i, n := range sizes {
+		f, err := fc.read()
+		if err != nil || f.Kind != KindTasks || !bytes.Equal(f.Payload, bytes.Repeat([]byte{byte(n)}, n)) {
+			t.Fatalf("frame %d (%d payload bytes): kind %v err %v", i, n, f.Kind, err)
+		}
+		if cc.reads != i+1 {
+			t.Fatalf("frame %d (%d payload bytes) took %d transport reads in total, want %d", i, n, cc.reads, i+1)
+		}
+	}
+	<-sent
+
+	client.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	var ne net.Error
+	if _, err := fc.read(); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("read on an idle connection past its deadline = %v, want a timeout", err)
+	}
+	client.SetReadDeadline(time.Time{})
+	go server.Write(AppendFrame(nil, KindPing, nil))
+	if f, err := fc.read(); err != nil || f.Kind != KindPing {
+		t.Fatalf("read after the deadline was cleared = (%v, %v), want PING", f.Kind, err)
+	}
+}
+
+// TestFramedConnThroughNetchaos reads frames across a netchaos proxy: a
+// dripped stream (every chunk in slices, delays apart) must reassemble
+// exactly, and a mid-stream cut must end in an error after a clean prefix
+// of whole frames — never in a frame stitched from read-ahead leftovers.
+func TestFramedConnThroughNetchaos(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const frames = 60
+	var wire []byte
+	kinds := make([]Kind, frames)
+	payloads := make([][]byte, frames)
+	for i := range kinds {
+		kinds[i], payloads[i] = randomFrame(rng)
+		wire = AppendFrame(wire, kinds[i], payloads[i])
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// Stream once the client has spoken: a cut that lands while
+			// the client is still dialing would fail the dial instead.
+			c.Read(make([]byte, 1))
+			c.Write(wire)
+			c.Close()
+		}
+	}()
+	for _, tc := range []struct {
+		spec string
+		cut  bool
+	}{{"s2c=drip:1ms", false}, {"s2c=reset#1", true}} {
+		sched, err := netchaos.ParseSchedule(11, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := netchaos.Listen(ln.Addr().String(), sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.Dial("tcp", p.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		c.Write([]byte{0})
+		fc := newFramedConn(c, DefaultMaxPayload)
+		i := 0
+		for ; ; i++ {
+			f, err := fc.read()
+			if err != nil {
+				if !tc.cut && err != io.EOF {
+					t.Errorf("%s: frame %d: %v", tc.spec, i, err)
+				}
+				break
+			}
+			if i >= frames || f.Kind != kinds[i] || !bytes.Equal(f.Payload, payloads[i]) {
+				t.Fatalf("%s: frame %d is not the frame that was sent", tc.spec, i)
+			}
+		}
+		if tc.cut == (i == frames) {
+			t.Errorf("%s: %d of %d frames before the stream ended", tc.spec, i, frames)
+		}
+		c.Close()
+		p.Close()
 	}
 }
 
