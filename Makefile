@@ -143,11 +143,11 @@ serve-smoke:
 	$(GO) run ./cmd/salsa-server -smoke
 
 # Regenerates every figure of the paper's evaluation (§1.6) plus the
-# extended-baseline sweep; writes CSVs to results/ and the human-readable
-# tables to results/figures_output.txt (and stdout).
+# batch-size sweep; writes CSVs to results/ and the human-readable tables
+# to results/figures_output.txt (and stdout).
 figures:
 	@mkdir -p results
-	$(GO) run ./cmd/salsa-bench -duration 250ms -threads 16 -csv results all ext | tee results/figures_output.txt
+	$(GO) run ./cmd/salsa-bench -duration 250ms -threads 16 -csv results all | tee results/figures_output.txt
 
 stress:
 	$(GO) run ./cmd/salsa-stress -rounds 20

@@ -17,6 +17,7 @@ func TestConfigValidation(t *testing.T) {
 		{"nodes without cores", salsa.Config{Producers: 1, Consumers: 1, NUMANodes: 2}},
 		{"cores without nodes", salsa.Config{Producers: 1, Consumers: 1, CoresPerNode: 2}},
 		{"bogus algorithm", salsa.Config{Producers: 1, Consumers: 1, Algorithm: salsa.Algorithm(99)}},
+		{"first unassigned algorithm", salsa.Config{Producers: 1, Consumers: 1, Algorithm: salsa.Algorithm(5)}},
 		{"bogus placement", salsa.Config{Producers: 1, Consumers: 1, Placement: salsa.Placement(99)}},
 	}
 	for _, c := range cases {

@@ -98,8 +98,8 @@ func TestGetBatchEmptySemantics(t *testing.T) {
 			if n := c.GetBatch(dst); n != 3 {
 				t.Fatalf("GetBatch = %d, want the partial fill 3", n)
 			}
-			// Pools are unordered in general (WS-LIFO reverses, ED-Pool
-			// scatters): check the set, not the sequence.
+			// Pools are unordered in general (WS-LIFO reverses): check
+			// the set, not the sequence.
 			got := map[int]bool{}
 			for _, j := range dst[:3] {
 				got[j.seq] = true

@@ -231,24 +231,6 @@ func BenchmarkUncontendedFastPath(b *testing.B) {
 	b.ReportMetric(s.FastPathRatio(), "fastpath")
 }
 
-// BenchmarkExtendedBaselines compares the three extra related-work
-// algorithms this repository implements beyond the paper's evaluated set
-// (§1.2's ED-pools, Gidenstam-style chunk queues, and the Baskets Queue)
-// against SALSA at the standard balanced configuration.
-func BenchmarkExtendedBaselines(b *testing.B) {
-	for _, alg := range []salsa.Algorithm{
-		salsa.SALSA, salsa.EDPool, salsa.WSCHUNKQ, salsa.WSBaskets,
-	} {
-		b.Run(alg.String(), func(b *testing.B) {
-			benchRun(b, workload.Config{
-				Algorithm: alg,
-				Producers: benchPairs,
-				Consumers: benchPairs,
-			})
-		})
-	}
-}
-
 // BenchmarkAblationStealOrder compares victim-iteration policies in the
 // steal-heavy single-producer regime (an ablation of the §1.4 policy knob).
 func BenchmarkAblationStealOrder(b *testing.B) {

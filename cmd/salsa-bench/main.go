@@ -7,7 +7,7 @@
 //	salsa-bench [flags] <figure>...
 //
 // where <figure> is one or more of: fig1.4a fig1.4b fig1.5a fig1.5b fig1.6
-// fig1.7 fig1.8 ext batch all
+// fig1.7 fig1.8 batch all
 //
 // Flags:
 //
@@ -74,7 +74,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: salsa-bench [flags] <fig1.4a|fig1.4b|fig1.5a|fig1.5b|fig1.6|fig1.7|fig1.8|ext|batch|all>...")
+		fmt.Fprintln(os.Stderr, "usage: salsa-bench [flags] <fig1.4a|fig1.4b|fig1.5a|fig1.5b|fig1.6|fig1.7|fig1.8|batch|all>...")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -190,10 +190,6 @@ func collect(names []string, opts workload.FigureOptions) ([]workload.Figure, er
 			}
 		case "fig1.8":
 			if err := add(workload.Fig18(opts)); err != nil {
-				return nil, err
-			}
-		case "ext", "ext-baselines":
-			if err := add(workload.FigExtended(opts)); err != nil {
 				return nil, err
 			}
 		case "batch":

@@ -84,11 +84,13 @@ var matrix = []scenario{
 // scoping is deliberate: producer-path and handoff-path faults of any
 // kind stay inside the exactly-once envelope (idempotent PUT_BATCH
 // retry), while worker-path faults that can destroy a committed TASKS
-// delivery carry a KillBudget sized to the fault's #count cap times the
-// batch size — retrieval is at-most-once past the shard's commit
+// delivery carry a #count cap, from which RunCluster derives the round's
+// loss budget — retrieval is at-most-once past the shard's commit
 // (DESIGN.md §14). That includes worker-path c2s resets: the proxy may
 // deliver the full GET_BATCH request in its pre-cut prefix, so the
-// shard commits a batch onto a connection that is already dead.
+// shard commits a batch onto a connection that is already dead. A
+// dripped TASKS frame can outlive the worker's lease, so its tasks are
+// delivered-but-dead.
 var clusterMatrix = []remote.ClusterScenario{
 	{Name: "baseline"},
 	{Name: "wire-jitter",
@@ -103,14 +105,11 @@ var clusterMatrix = []remote.ClusterScenario{
 	{Name: "partition-oneway",
 		ProdSpec: "c2s=blackhole@0.05#2"},
 	{Name: "slow-drip-lease",
-		WorkSpec:   "s2c=drip:40ms@0.03#3",
-		KillBudget: 3 * 128}, // a dripped TASKS frame can outlive the lease: its tasks are delivered-but-dead
+		WorkSpec: "s2c=drip:40ms@0.03#3"},
 	{Name: "worker-blackhole-rejoin",
-		WorkSpec:   "s2c=blackhole@0.02#2",
-		KillBudget: 2 * 128},
+		WorkSpec: "s2c=blackhole@0.02#2"},
 	{Name: "worker-ack-loss",
-		WorkSpec:   "s2c=reset@0.02#2",
-		KillBudget: 2 * 128},
+		WorkSpec: "s2c=reset@0.02#2"},
 	{Name: "quiesce-handoff",
 		Quiesce: true, WorkersShard1: true, AssertHandoff: true},
 	{Name: "partition-during-quiesce",
@@ -123,16 +122,20 @@ var clusterMatrix = []remote.ClusterScenario{
 		ProdSpec:    "c2s=delay:200us@0.1,s2c=reset@0.02#4",
 		WorkSpec:    "c2s=delay:200us@0.1,c2s=reset@0.01#2",
 		HandoffSpec: "s2c=reset@0.25#2",
-		Quiesce:     true, WorkersAfterQuiesce: 1,
-		KillBudget: 2 * 128}, // the worker-path c2s resets can each strand one committed batch
+		Quiesce:     true, WorkersAfterQuiesce: 1},
 }
 
 // runCluster executes the cluster matrix and returns the process exit code.
 func runCluster(h *chaos.Harness, tasks int, list bool) int {
 	if list {
 		for _, sc := range clusterMatrix {
+			budget, err := remote.ClusterOptions{Scenario: sc}.LossBudget()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "salsa-chaos: %s: %v\n", sc.Name, err)
+				return 2
+			}
 			fmt.Printf("%-26s quiesce=%-5v budget=%-4d prod=%q work=%q handoff=%q\n",
-				sc.Name, sc.Quiesce, sc.KillBudget, sc.ProdSpec, sc.WorkSpec, sc.HandoffSpec)
+				sc.Name, sc.Quiesce, budget, sc.ProdSpec, sc.WorkSpec, sc.HandoffSpec)
 		}
 		return 0
 	}

@@ -6,6 +6,7 @@ import (
 
 	"salsa/internal/failpoint"
 	"salsa/internal/netchaos"
+	"salsa/internal/remote"
 	"salsa/internal/seeded"
 )
 
@@ -24,7 +25,8 @@ func parse(cluster bool, spec string) (parsed, error) {
 
 // FuzzSchedule feeds arbitrary specs to both vocabularies of the schedule
 // grammar, seeded from every spec string of the two matrices (so plain
-// `go test` also proves each of them parses): Parse never panics, and
+// `go test` also proves each of them parses, and that every cluster row
+// has a bounded loss budget): Parse never panics, and
 // whatever it accepts renders to a Spec that parses back to the same rules —
 // the FAIL line's schedule string is a faithful replay recipe.
 func FuzzSchedule(f *testing.F) {
@@ -32,6 +34,9 @@ func FuzzSchedule(f *testing.F) {
 		f.Add(false, sc.spec)
 	}
 	for _, sc := range clusterMatrix {
+		if _, err := (remote.ClusterOptions{Scenario: sc}).LossBudget(); err != nil {
+			f.Fatalf("%s: %v", sc.Name, err)
+		}
 		for _, spec := range []string{sc.ProdSpec, sc.WorkSpec, sc.HandoffSpec} {
 			f.Add(true, spec)
 		}

@@ -73,12 +73,6 @@ func parseAlgorithm(s string) (salsa.Algorithm, error) {
 		return salsa.WSMSQ, nil
 	case "ws-lifo", "wslifo":
 		return salsa.WSLIFO, nil
-	case "ed-pool", "edpool":
-		return salsa.EDPool, nil
-	case "ws-chunkq", "wschunkq":
-		return salsa.WSCHUNKQ, nil
-	case "ws-baskets", "wsbaskets":
-		return salsa.WSBaskets, nil
 	default:
 		return 0, fmt.Errorf("unknown algorithm %q", s)
 	}
@@ -94,7 +88,7 @@ const defaultFaultMix = "chunkpool.exhausted=fail@%g," +
 
 func main() {
 	var (
-		algName   = flag.String("algorithm", "salsa", "salsa|salsa+cas|concbag|ws-msq|ws-lifo|ed-pool|ws-chunkq|ws-baskets")
+		algName   = flag.String("algorithm", "salsa", "salsa|salsa+cas|concbag|ws-msq|ws-lifo")
 		producers = flag.Int("producers", 4, "producer goroutines")
 		consumers = flag.Int("consumers", 4, "consumer goroutines")
 		rounds    = flag.Int("rounds", 20, "independent pool lifecycles to run")

@@ -24,7 +24,9 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Errorf("parseAlgorithm(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := parseAlgorithm("bogus"); err == nil {
-		t.Error("bogus algorithm accepted")
+	for _, in := range []string{"bogus", "ed-pool", "ws-chunkq", "ws-baskets"} {
+		if _, err := parseAlgorithm(in); err == nil {
+			t.Errorf("parseAlgorithm(%q) accepted", in)
+		}
 	}
 }

@@ -33,9 +33,6 @@ func (p *Pool[T]) Abandon() {
 	p.abandoned.Store(true)
 }
 
-// Abandoned reports whether Abandon has been called.
-func (p *Pool[T]) Abandoned() bool { return p.abandoned.Load() }
-
 // DrainSparesInto implements scpool.SpareDrainer: move every spare chunk
 // of this (typically just-abandoned) pool into dst's chunk pool, returning
 // the number moved. The chunks were hazard-gated when they entered this

@@ -20,14 +20,14 @@ func TestAbandonRejectsProduce(t *testing.T) {
 	if !p.Produce(ps, &task{id: 1}) {
 		t.Fatal("Produce failed before Abandon")
 	}
-	if scpool.Abandoned[task](p) {
-		t.Fatal("Abandoned reported true before Abandon")
+	if p.abandoned.Load() {
+		t.Fatal("abandoned flag set before Abandon")
 	}
 	if !scpool.Abandon[task](p) {
 		t.Fatal("scpool.Abandon did not find the native capability")
 	}
-	if !scpool.Abandoned[task](p) {
-		t.Fatal("Abandoned false after Abandon")
+	if !p.abandoned.Load() {
+		t.Fatal("abandoned flag clear after Abandon")
 	}
 	if p.Produce(ps, &task{id: 2}) {
 		t.Fatal("Produce succeeded on an abandoned pool")
@@ -162,9 +162,6 @@ func TestGenericFallbacksOnNonNativePool(t *testing.T) {
 	var p plainPool
 	if scpool.Abandon[task](&p) {
 		t.Fatal("Abandon reported native support on a plain pool")
-	}
-	if scpool.Abandoned[task](&p) {
-		t.Fatal("Abandoned true on a plain pool")
 	}
 	if n := scpool.DrainSpares[task](&p, &p); n != 0 {
 		t.Fatalf("DrainSpares moved %d on a plain pool", n)

@@ -215,14 +215,18 @@ func TestConsumeBatchVsStealRace(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				if t2 := thief.Steal(cs, owner); t2 != nil {
 					thiefGot = append(thiefGot, t2)
-					// Drain what the steal migrated.
-					for {
-						n := thief.ConsumeBatch(cs, dst)
-						if n == 0 {
-							break
-						}
-						thiefGot = append(thiefGot, dst[:n]...)
+				}
+				// Drain what the steal migrated. A steal that loses
+				// the contended slot to the ex-owner still keeps the
+				// chunk and returns nil (Algorithm 5 line 133), so
+				// drain after every attempt, as a consumer's own
+				// Consume would.
+				for {
+					n := thief.ConsumeBatch(cs, dst)
+					if n == 0 {
+						break
 					}
+					thiefGot = append(thiefGot, dst[:n]...)
 				}
 			}
 		}()

@@ -431,7 +431,7 @@ func assertStablyEmpty(t *testing.T, proberID int, abandoned, live *Pool[task]) 
 			t.Fatal("indicator slot did not stay raised on a quiescent pool")
 		}
 	}
-	if !abandoned.Abandoned() {
+	if !abandoned.abandoned.Load() {
 		t.Fatal("abandoned pool lost its abandoned flag")
 	}
 }

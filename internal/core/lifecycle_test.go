@@ -24,13 +24,25 @@ func currentChunk(t *testing.T, p *Pool[task], pid int) *Chunk[task] {
 	return ch
 }
 
-// plantTask stores a fresh task into slot i and hands back only a weak
+// newProbe allocates a task in a heap block of its own. A bare task is 8
+// pointer-free bytes, which the tiny allocator packs into one 16-byte
+// block with its neighbours; a weak pointer to it then lives as long as
+// any of them does, whatever the pool under test does.
+func newProbe(id int) *task {
+	b := &struct {
+		task
+		_ *task
+	}{task: task{id: id}}
+	return &b.task
+}
+
+// plantTask stores a fresh probe into slot i and hands back only a weak
 // reference. Kept out-of-line so no stack slot of the caller pins the
 // task — the chunk's slot must be its sole strong reference.
 //
 //go:noinline
 func plantTask(ch *Chunk[task], i int) weak.Pointer[task] {
-	tk := &task{id: 7}
+	tk := newProbe(7)
 	ch.tasks[i].p.Store(tk)
 	return weak.Make(tk)
 }
@@ -176,7 +188,7 @@ func TestRecycleMinimalClearingNoLeak(t *testing.T) {
 			ps, cs := prod(0), cons(0)
 
 			for i := 0; i < chunkSize; i++ {
-				p.ProduceForce(ps, &task{id: i})
+				p.ProduceForce(ps, newProbe(i))
 			}
 			ch := currentChunk(t, p, ps.ID)
 			// Crash the consumer at slot pos: announce published,

@@ -21,9 +21,9 @@ import (
 // kind are exactly-once-safe (the idempotent PUT_BATCH retry collapses
 // lost-ACK ambiguity), but a worker-path fault that destroys an
 // in-flight TASKS frame loses committed tasks — retrieval is
-// at-most-once past the server's commit (DESIGN §14). Scenarios using
-// s2c worker faults must carry a KillBudget sized to the fault's #count
-// cap times the batch size.
+// at-most-once past the server's commit (DESIGN §14). The round's loss
+// budget is derived from WorkSpec (ClusterOptions.LossBudget), so every
+// worker-path loss rule must carry a #count cap.
 type ClusterScenario struct {
 	Name string
 	// ProdSpec is armed on both producer-path proxies, WorkSpec on both
@@ -40,8 +40,6 @@ type ClusterScenario struct {
 	// WorkersShard1 homes every worker on shard 1, so shard 0's tasks
 	// can only surface through the quiesce handoff.
 	WorkersShard1 bool
-	// KillBudget is the tolerated task loss for the round.
-	KillBudget int64
 	// AssertDedup requires at least one dedup replay (the scenario's
 	// faults must force a retry of a committed batch).
 	AssertDedup bool
@@ -115,6 +113,33 @@ func (o *ClusterOptions) defaults() {
 	}
 }
 
+// LossBudget is the task loss a round may tolerate, derived from the
+// scenario's WorkSpec. Each firing of a worker-path loss rule (reset,
+// blackhole, drip) can strand at most one committed Batch-sized TASKS
+// delivery; a rule fires at most #count times per proxy, and WorkSpec is
+// armed on both shards' worker-path proxies. A loss rule without a #count
+// could lose without bound, so it is an error. Delays lose nothing, and
+// producer-path and handoff-path faults are exactly-once-safe.
+func (o ClusterOptions) LossBudget() (int64, error) {
+	o.defaults()
+	sched, err := netchaos.ParseSchedule(0, o.Scenario.WorkSpec)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: work schedule %q: %w", o.Scenario.WorkSpec, err)
+	}
+	var firings int64
+	for _, r := range sched.Rules() {
+		switch netchaos.Action(r.Action) {
+		case netchaos.ActionReset, netchaos.ActionBlackhole, netchaos.ActionDrip:
+			if r.Count == 0 {
+				return 0, fmt.Errorf("cluster: work rule %s has no #count, so its loss is unbounded", r)
+			}
+			firings += int64(r.Count)
+		}
+	}
+	const workProxies = 2 // one per shard
+	return firings * int64(o.Batch) * workProxies, nil
+}
+
 // RunCluster drives one cluster fault round: two real shard servers on
 // loopback TCP, every client path routed through a netchaos fault proxy,
 // a producer fleet with failover + idempotent retry, a worker fleet with
@@ -125,6 +150,10 @@ func (o *ClusterOptions) defaults() {
 func RunCluster(o ClusterOptions) (res ClusterResult, _ error) {
 	o.defaults()
 	sc := o.Scenario
+	budget, err := o.LossBudget()
+	if err != nil {
+		return res, err
+	}
 
 	// Both shards share the process-global flight recorder, so each gets
 	// a disjoint actor-id range: shard i records as ids
@@ -425,7 +454,7 @@ func RunCluster(o ClusterOptions) (res ClusterResult, _ error) {
 	if err := ctx.Err(); err != nil && !ledger.Drained() {
 		return fail(fmt.Errorf("cluster: round timed out: delivered %d of %d", ledger.Delivered(), ledger.Want()))
 	}
-	if err := ledger.Verify(sc.KillBudget); err != nil {
+	if err := ledger.Verify(budget); err != nil {
 		return fail(fmt.Errorf("cluster: %s", err))
 	}
 	if sc.AssertDedup && res.DedupHits < 1 {
@@ -440,6 +469,6 @@ func RunCluster(o ClusterOptions) (res ClusterResult, _ error) {
 		}
 	}
 	o.Logf("cluster: PASS — delivered %d (dups %d, lost %d, budget %d), dedup hits %d, reconnects %d, handoff %d",
-		res.Delivered, res.Dups, res.Lost, sc.KillBudget, res.DedupHits, res.Reconnects, res.HandoffTasks)
+		res.Delivered, res.Dups, res.Lost, budget, res.DedupHits, res.Reconnects, res.HandoffTasks)
 	return res, nil
 }

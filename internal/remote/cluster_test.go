@@ -32,6 +32,30 @@ func clusterRound(t *testing.T, sc ClusterScenario, seed int64) (res ClusterResu
 	return res
 }
 
+// TestLossBudget: the derived budget counts every capped worker-path loss
+// rule once per worker proxy and batch, ignores delays, and refuses a loss
+// rule without a #count.
+func TestLossBudget(t *testing.T) {
+	budget := func(spec string) (int64, error) {
+		return ClusterOptions{Scenario: ClusterScenario{WorkSpec: spec}, Batch: 64}.LossBudget()
+	}
+	for spec, want := range map[string]int64{
+		"":                  0,
+		"c2s=delay:1ms@0.5": 0,
+		"s2c=reset@0.02#2":  2 * 64 * 2,
+		"s2c=drip:40ms@0.03#3,c2s=delay:1ms,accept=blackhole#1": 4 * 64 * 2,
+	} {
+		if got, err := budget(spec); err != nil || got != want {
+			t.Errorf("LossBudget(%q) = %d, %v; want %d", spec, got, err, want)
+		}
+	}
+	for _, spec := range []string{"s2c=reset@0.02", "c2s=blackhole", "c2s=delay:1ms,s2c=drip:1ms"} {
+		if _, err := budget(spec); err == nil {
+			t.Errorf("LossBudget(%q) accepted an uncapped loss rule", spec)
+		}
+	}
+}
+
 // TestClusterBaseline: the full harness with no faults armed must
 // deliver exactly once — the control arm every fault scenario implies.
 func TestClusterBaseline(t *testing.T) {

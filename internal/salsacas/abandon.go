@@ -18,9 +18,6 @@ import (
 // working so survivors reclaim the remaining tasks. Idempotent.
 func (p *Pool[T]) Abandon() { p.abandoned.Store(true) }
 
-// Abandoned reports whether Abandon has been called.
-func (p *Pool[T]) Abandoned() bool { return p.abandoned.Load() }
-
 // DrainSparesInto implements scpool.SpareDrainer: move every spare chunk of
 // this pool into dst's chunk pool, returning the number moved. Spares are
 // unreachable from any list and this family has no hazard domain, so a

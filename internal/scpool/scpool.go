@@ -142,8 +142,6 @@ type BatchSCPool[T any] interface {
 type Abandoner interface {
 	// Abandon marks the pool ownerless. Idempotent.
 	Abandon()
-	// Abandoned reports whether Abandon has been called.
-	Abandoned() bool
 }
 
 // Abandon marks pool abandoned when it has the capability; it reports
@@ -153,15 +151,6 @@ func Abandon[T any](pool SCPool[T]) bool {
 	if a, ok := pool.(Abandoner); ok {
 		a.Abandon()
 		return true
-	}
-	return false
-}
-
-// Abandoned reports whether pool is marked abandoned (always false for
-// substrates without the capability).
-func Abandoned[T any](pool SCPool[T]) bool {
-	if a, ok := pool.(Abandoner); ok {
-		return a.Abandoned()
 	}
 	return false
 }

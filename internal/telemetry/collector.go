@@ -31,8 +31,8 @@ type Collector struct {
 type thiefRow struct {
 	// matrix[v] counts successful steals from victim v.
 	matrix []stats.Counter
-	// unattributed counts steals from shared-structure substrates
-	// (ConcBag, ED-Pool) that have no single victim.
+	// unattributed counts steals from a shared-structure substrate
+	// (ConcBag) that have no single victim.
 	unattributed stats.Counter
 	// tasksMoved totals tasks carried by this thief's steals.
 	tasksMoved stats.Counter

@@ -60,7 +60,7 @@ type Tracer interface {
 }
 
 // UnattributedVictim is the Victim/VictimNode value used by substrates
-// whose retrievals scan one shared structure (ConcBag, ED-Pool): a take
+// whose retrievals scan one shared structure (ConcBag): a take
 // from outside the consumer's preferred region is a steal with no single
 // victim consumer to charge.
 const UnattributedVictim = -1

@@ -13,16 +13,14 @@ package wsbase
 import (
 	"fmt"
 
-	"salsa/internal/basketsqueue"
 	"salsa/internal/indicator"
 	"salsa/internal/lifostack"
 	"salsa/internal/msqueue"
 	"salsa/internal/scpool"
-	"salsa/internal/segqueue"
 	"salsa/internal/telemetry"
 )
 
-// Discipline selects the pool order.
+// Discipline selects the pool order: FIFO for WS-MSQ, LIFO for WS-LIFO.
 type Discipline int
 
 const (
@@ -30,15 +28,6 @@ const (
 	FIFO Discipline = iota
 	// LIFO is the WS-LIFO baseline.
 	LIFO
-	// CHUNKQ is an extended baseline over the Gidenstam-style chunked
-	// FIFO queue (internal/segqueue): shared head/tail move once per
-	// chunk, but each element still costs at least one atomic RMW —
-	// the related-work design point of §1.2.
-	CHUNKQ
-	// BASKETS is an extended baseline over the Baskets Queue of Hoffman
-	// et al. (internal/basketsqueue): concurrent enqueues share a
-	// "basket" instead of re-contending for the tail (§1.2).
-	BASKETS
 )
 
 // Pool adapts a queue or stack to the SCPool interface.
@@ -48,8 +37,6 @@ type Pool[T any] struct {
 	disc      Discipline
 	q         *msqueue.Queue[*T]
 	s         *lifostack.Stack[*T]
-	cq        *segqueue.Queue[T]
-	bq        *basketsqueue.Queue[*T]
 	ind       *indicator.Indicator
 }
 
@@ -67,10 +54,6 @@ func New[T any](ownerID, ownerNode, consumers int, disc Discipline) (*Pool[T], e
 		p.q = msqueue.New[*T]()
 	case LIFO:
 		p.s = lifostack.New[*T]()
-	case CHUNKQ:
-		p.cq = segqueue.New[T](0)
-	case BASKETS:
-		p.bq = basketsqueue.New[*T]()
 	default:
 		return nil, fmt.Errorf("wsbase: unknown discipline %d", disc)
 	}
@@ -94,12 +77,6 @@ func (p *Pool[T]) Produce(ps *scpool.ProducerState, t *T) bool {
 	case LIFO:
 		ps.Ops.CAS.Inc()
 		p.s.Push(t)
-	case CHUNKQ:
-		ps.Ops.CAS.Add(2) // cursor FAA + slot CAS
-		p.cq.Enqueue(t)
-	case BASKETS:
-		ps.Ops.CAS.Add(2) // link CAS + tail swing (or basket insert)
-		p.bq.Enqueue(t)
 	}
 	ps.Ops.Puts.Inc()
 	return true
@@ -121,10 +98,6 @@ func (p *Pool[T]) take(cs *scpool.ConsumerState) *T {
 		t, ok = p.q.Dequeue()
 	case LIFO:
 		t, ok = p.s.Pop()
-	case CHUNKQ:
-		t, ok = p.cq.Dequeue()
-	case BASKETS:
-		t, ok = p.bq.Dequeue()
 	}
 	cs.Ops.CAS.Inc() // at least one CAS per attempt in both substrates
 	if !ok {
@@ -175,10 +148,6 @@ func (p *Pool[T]) IsEmpty() bool {
 	switch p.disc {
 	case FIFO:
 		return p.q.IsEmpty()
-	case CHUNKQ:
-		return p.cq.IsEmpty()
-	case BASKETS:
-		return p.bq.IsEmpty()
 	default:
 		return p.s.IsEmpty()
 	}

@@ -30,7 +30,7 @@ type CheckEmptyRoundEvent = telemetry.CheckEmptyRoundEvent
 type ProduceEvent = telemetry.ProduceEvent
 
 // UnattributedVictim is the StealEvent.Victim value for steals from
-// shared-structure algorithms (ConcBag, ED-Pool) with no single victim.
+// a shared-structure algorithm (ConcBag) with no single victim.
 const UnattributedVictim = telemetry.UnattributedVictim
 
 // TelemetrySnapshot is a point-in-time view of a pool's operation census,

@@ -13,9 +13,8 @@
 // pool was empty at some instant during the call (linearizable emptiness).
 //
 // The default algorithm is SALSA; the algorithms the paper evaluates
-// against (SALSA+CAS, Concurrent Bags, WS-MSQ, WS-LIFO) and three further
-// related-work designs from its §1.2 (ED-Pool, WS-ChunkQ, WS-Baskets) are
-// selectable via Config.Algorithm, primarily for benchmarking.
+// against (SALSA+CAS, Concurrent Bags, WS-MSQ, WS-LIFO) are selectable via
+// Config.Algorithm, primarily for benchmarking.
 //
 // Basic usage:
 //
@@ -34,7 +33,6 @@ import (
 
 	"salsa/internal/concbag"
 	"salsa/internal/core"
-	"salsa/internal/edpool"
 	"salsa/internal/framework"
 	"salsa/internal/salsacas"
 	"salsa/internal/scpool"
@@ -60,20 +58,6 @@ const (
 	WSMSQ
 	// WSLIFO is work stealing over per-consumer lock-free LIFO stacks.
 	WSLIFO
-	// EDPool is an elimination-diffraction pool (Afek et al., Euro-Par
-	// 2010): a tree of queues fed through diffracting balancers with
-	// elimination arrays. Discussed (not benchmarked) by the paper's
-	// related work (§1.2); provided here as an extended baseline.
-	EDPool
-	// WSCHUNKQ is work stealing over per-consumer chunk-based FIFO
-	// queues in the style of Gidenstam et al. (OPODIS 2010) — the
-	// related-work design whose shared head/tail move once per chunk
-	// but whose every element still costs an atomic RMW (§1.2).
-	WSCHUNKQ
-	// WSBaskets is work stealing over per-consumer Baskets Queues
-	// (Hoffman et al., OPODIS 2007): concurrent enqueues share a basket
-	// instead of re-contending for the tail (§1.2).
-	WSBaskets
 )
 
 // String returns the algorithm's name as used in the paper's figures.
@@ -89,12 +73,6 @@ func (a Algorithm) String() string {
 		return "WS-MSQ"
 	case WSLIFO:
 		return "WS-LIFO"
-	case EDPool:
-		return "ED-Pool"
-	case WSCHUNKQ:
-		return "WS-ChunkQ"
-	case WSBaskets:
-		return "WS-Baskets"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -406,26 +384,6 @@ func (p *Pool[T]) poolFactory() (framework.PoolFactory[T], error) {
 	case WSLIFO:
 		return func(owner, node, _ int) (scpool.SCPool[T], error) {
 			return wsbase.New[T](owner, node, cfg.MaxConsumers, wsbase.LIFO)
-		}, nil
-	case WSCHUNKQ:
-		return func(owner, node, _ int) (scpool.SCPool[T], error) {
-			return wsbase.New[T](owner, node, cfg.MaxConsumers, wsbase.CHUNKQ)
-		}, nil
-	case WSBaskets:
-		return func(owner, node, _ int) (scpool.SCPool[T], error) {
-			return wsbase.New[T](owner, node, cfg.MaxConsumers, wsbase.BASKETS)
-		}, nil
-	case EDPool:
-		depth := 1
-		for 1<<depth < cfg.MaxConsumers && depth < 8 {
-			depth++
-		}
-		pool, err := edpool.New[T](edpool.Options{Depth: depth, Consumers: cfg.MaxConsumers})
-		if err != nil {
-			return nil, err
-		}
-		return func(owner, _, _ int) (scpool.SCPool[T], error) {
-			return pool.NewFacade(owner)
 		}, nil
 	default:
 		return nil, fmt.Errorf("salsa: unknown algorithm %v", cfg.Algorithm)

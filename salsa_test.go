@@ -16,7 +16,6 @@ type job struct {
 
 var allAlgorithms = []salsa.Algorithm{
 	salsa.SALSA, salsa.SALSACAS, salsa.ConcBag, salsa.WSMSQ, salsa.WSLIFO,
-	salsa.EDPool, salsa.WSCHUNKQ, salsa.WSBaskets,
 }
 
 func newPool(t testing.TB, alg salsa.Algorithm, producers, consumers, chunk int) *salsa.Pool[job] {

@@ -3,10 +3,8 @@ package salsa_test
 import (
 	"testing"
 
-	"salsa/internal/basketsqueue"
 	"salsa/internal/lifostack"
 	"salsa/internal/msqueue"
-	"salsa/internal/segqueue"
 )
 
 // BenchmarkSubstrateQueues compares the raw FIFO/LIFO substrates this
@@ -33,24 +31,6 @@ func BenchmarkSubstrateQueues(b *testing.B) {
 			}
 		}
 	})
-	b.Run("basketsqueue", func(b *testing.B) {
-		q := basketsqueue.New[*int]()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(&payload)
-			if _, ok := q.Dequeue(); !ok {
-				b.Fatal("lost element")
-			}
-		}
-	})
-	b.Run("segqueue", func(b *testing.B) {
-		q := segqueue.New[int](0)
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(&payload)
-			if _, ok := q.Dequeue(); !ok {
-				b.Fatal("lost element")
-			}
-		}
-	})
 }
 
 // BenchmarkSubstrateQueuesParallel runs the same pairs from all Ps — the
@@ -59,24 +39,6 @@ func BenchmarkSubstrateQueuesParallel(b *testing.B) {
 	payload := 42
 	b.Run("msqueue", func(b *testing.B) {
 		q := msqueue.New[*int]()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				q.Enqueue(&payload)
-				q.Dequeue()
-			}
-		})
-	})
-	b.Run("segqueue", func(b *testing.B) {
-		q := segqueue.New[int](0)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				q.Enqueue(&payload)
-				q.Dequeue()
-			}
-		})
-	})
-	b.Run("basketsqueue", func(b *testing.B) {
-		q := basketsqueue.New[*int]()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				q.Enqueue(&payload)
